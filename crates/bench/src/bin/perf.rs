@@ -47,8 +47,8 @@
 //! count (at least 4, to exercise the engine on small machines). Scope is
 //! controlled by `SYNTHLC_SCOPE` = `quick` (default) or `full`.
 
-use bench::json::Json;
 use bench::{leak_cfg, scope, Scope};
+use jsonio::Json;
 use mupath::{synthesize_isa_with, ContextMode, EngineOptions, IsaSynthesis, SynthConfig};
 use sat::BudgetPool;
 use std::fmt::Write as _;

@@ -75,9 +75,6 @@ pub struct FuzzConfig {
     /// Wall-clock stop, polled at case boundaries (reports stay
     /// deterministic as long as it never fires).
     pub deadline: Option<Arc<CancelToken>>,
-    /// Sweep every solver knob combination inside the SAT oracle (see
-    /// [`OracleOpts::knob_sweep`]).
-    pub knob_sweep: bool,
     /// A planted defect (tests only).
     pub seeded_bug: Option<SeededBug>,
 }
@@ -100,7 +97,6 @@ impl Default for FuzzConfig {
             shrink_attempts: 300,
             max_mismatches: 5,
             deadline: None,
-            knob_sweep: false,
             seeded_bug: None,
         }
     }
@@ -229,7 +225,6 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     };
     let opts = OracleOpts {
         bound: cfg.bound,
-        knob_sweep: cfg.knob_sweep,
         seeded_bug: cfg.seeded_bug,
         ..Default::default()
     };
@@ -330,32 +325,6 @@ mod tests {
         // Sanity: the oracles did real comparisons, not wall-to-wall skips.
         let total_agree: u64 = a.stats.iter().map(|(_, s)| s.agree).sum();
         assert!(total_agree >= 12, "agreement count {total_agree} too low");
-    }
-
-    #[test]
-    fn knob_sweep_verdicts_are_invariant_across_solver_configs() {
-        let cfg = FuzzConfig {
-            seed: 0x5EED,
-            cases: 10,
-            oracles: vec![OracleKind::Sat],
-            knob_sweep: true,
-            ..Default::default()
-        };
-        let report = run_fuzz(&cfg);
-        assert!(
-            !report.has_mismatches(),
-            "a solver knob changed a verdict:\n{}",
-            report.render()
-        );
-        let (_, sat_stats) = &report.stats[0];
-        // Every compared case went through the sweep (verdict lines carry
-        // the `+sweep` marker), and at least one case was compared at all.
-        assert!(sat_stats.agree >= 1, "sweep ran on zero cases");
-        assert!(
-            sat_stats.verdicts.keys().all(|v| v.ends_with("+sweep")),
-            "sweep marker missing from verdict lines: {:?}",
-            sat_stats.verdicts
-        );
     }
 
     #[test]

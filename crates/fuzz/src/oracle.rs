@@ -98,11 +98,6 @@ pub struct OracleOpts {
     pub brute_cap: u64,
     /// Cycles simulated by the IFT low-equivalence runs.
     pub ift_cycles: usize,
-    /// After the baseline CDCL-vs-DPLL comparison, re-solve the same CNF
-    /// under every [`sat::SolverConfig`] knob combination and demand the
-    /// verdict never moves (off by default — it multiplies the SAT
-    /// oracle's work by the sweep size).
-    pub knob_sweep: bool,
     /// A deliberately planted engine defect (tests only).
     pub seeded_bug: Option<SeededBug>,
 }
@@ -114,7 +109,6 @@ impl Default for OracleOpts {
             dpll_step_cap: 2_000_000,
             brute_cap: 300_000,
             ift_cycles: 8,
-            knob_sweep: false,
             seeded_bug: None,
         }
     }
@@ -335,7 +329,7 @@ fn oracle_sat(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         Some(r) => r,
     };
     let detail = format!("{num_vars} vars, {} clauses", clauses.len());
-    let baseline = match (&reference, cdcl) {
+    match (&reference, cdcl) {
         (DpllResult::Sat(model), r) if r.is_sat() => {
             if !dpll::model_satisfies(model, &clauses) {
                 return CaseResult::Mismatch {
@@ -347,68 +341,15 @@ fn oracle_sat(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
             CaseResult::Agree("sat".into())
         }
         (DpllResult::Unsat, r) if r.is_unsat() => CaseResult::Agree("unsat".into()),
-        (dp, r) => {
-            return CaseResult::Mismatch {
-                expected: match dp {
-                    DpllResult::Sat(_) => "sat".into(),
-                    DpllResult::Unsat => "unsat".into(),
-                },
-                actual: format!("{r:?}").to_lowercase(),
-                detail,
-            }
-        }
-    };
-    if !opts.knob_sweep {
-        return baseline;
+        (dp, r) => CaseResult::Mismatch {
+            expected: match dp {
+                DpllResult::Sat(_) => "sat".into(),
+                DpllResult::Unsat => "unsat".into(),
+            },
+            actual: format!("{r:?}").to_lowercase(),
+            detail,
+        },
     }
-    // Knob sweep: the verdict must be invariant under every heuristic
-    // configuration, and every Sat leg must hand back a valid model.
-    for cfg in sat::SolverConfig::all_combinations() {
-        if let Some(mismatch) = sweep_one_config(cfg, num_vars, &clauses, &reference, &detail) {
-            return mismatch;
-        }
-    }
-    match baseline {
-        CaseResult::Agree(v) => CaseResult::Agree(format!("{v}+sweep")),
-        other => other,
-    }
-}
-
-/// Re-solves `clauses` under one knob configuration; `Some(mismatch)`
-/// when its verdict departs from the DPLL reference or its model is
-/// invalid.
-fn sweep_one_config(
-    cfg: sat::SolverConfig,
-    num_vars: usize,
-    clauses: &[Vec<sat::Lit>],
-    reference: &DpllResult,
-    detail: &str,
-) -> Option<CaseResult> {
-    let mut s = sat::Solver::with_config(cfg);
-    let vars: Vec<sat::Var> = (0..num_vars).map(|_| s.new_var()).collect();
-    for c in clauses {
-        s.add_clause(c);
-    }
-    let r = s.solve();
-    let expected_sat = matches!(reference, DpllResult::Sat(_));
-    if expected_sat != r.is_sat() || (!expected_sat && !r.is_unsat()) {
-        return Some(CaseResult::Mismatch {
-            expected: if expected_sat { "sat" } else { "unsat" }.into(),
-            actual: format!("{}({r:?})", cfg.label()).to_lowercase(),
-            detail: format!("{detail}; knob sweep config {}", cfg.label()),
-        });
-    }
-    if r.is_sat() {
-        let model: Vec<bool> = vars.iter().map(|&v| s.value(v).unwrap_or(false)).collect();
-        if !dpll::model_satisfies(&model, clauses) {
-            return Some(CaseResult::Mismatch {
-                expected: "sat(model-valid)".into(),
-                actual: format!("{}(model-invalid)", cfg.label()),
-                detail: format!("{detail}; knob sweep config {}", cfg.label()),
-            });
-        }
-    }
-    None
 }
 
 /// (b) BMC vs. simulation: `Reachable` witnesses must replay; an
@@ -809,7 +750,9 @@ fn oracle_cone(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         .collect();
     // The edit is derived from the design text, so a case replays from
     // its genome alone.
-    let mut rng = prng::Rng::new(0xc04e_0000 ^ fnv1a(netlist::text::emit(&d.netlist).as_bytes()));
+    let mut rng = prng::Rng::new(
+        0xc04e_0000 ^ netlist::fnv::fnv1a(netlist::text::emit(&d.netlist).as_bytes()),
+    );
     let Some(edited) = random_inplace_edit(&d.netlist, &mut rng) else {
         return CaseResult::Skipped("no-edit-site");
     };
@@ -998,15 +941,6 @@ fn random_inplace_edit(nl: &Netlist, rng: &mut prng::Rng) -> Option<Netlist> {
         }
     }
     None
-}
-
-/// FNV-1a over a byte string (edit-seed derivation).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Canonical fleet-member verdict: `Reachable` must replay (the firing

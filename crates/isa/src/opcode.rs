@@ -166,11 +166,6 @@ impl Opcode {
         self.is_branch() || matches!(self, Opcode::Jal | Opcode::Jalr)
     }
 
-    /// Whether the instruction reads or writes data memory.
-    pub fn is_mem(self) -> bool {
-        matches!(self, Opcode::Lw | Opcode::Sw)
-    }
-
     /// Whether the instruction uses the serial divide unit.
     pub fn is_divide(self) -> bool {
         matches!(

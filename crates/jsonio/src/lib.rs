@@ -445,12 +445,13 @@ pub mod jsonl {
     use super::{Json, ParseError};
     use std::io::{BufRead, Write};
 
-    /// Writes `value` as one compact line and flushes — on a socket this
-    /// is what makes the event visible to the peer now, not at buffer
-    /// pressure.
+    /// Writes `value` as one compact line in a single write and flushes
+    /// — on a socket this is what makes the event visible to the peer
+    /// now, as one segment, not at buffer pressure.
     pub fn write_line(out: &mut impl Write, value: &Json) -> std::io::Result<()> {
-        out.write_all(value.render_compact().as_bytes())?;
-        out.write_all(b"\n")?;
+        let mut line = value.render_compact();
+        line.push('\n');
+        out.write_all(line.as_bytes())?;
         out.flush()
     }
 

@@ -117,16 +117,11 @@ impl EngineOptions {
 /// journal written against one RTL revision can never replay onto another.
 /// FNV-1a over the canonical netlist text plus the design name.
 pub fn design_fingerprint(design: &Design) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let eat = |h: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&mut h, design.name.as_bytes());
-    eat(&mut h, &[0]);
-    eat(&mut h, netlist::text::emit(&design.netlist).as_bytes());
-    h
+    let mut h = netlist::fnv::Fnv1a::new();
+    h.bytes(design.name.as_bytes());
+    h.byte(0);
+    h.bytes(netlist::text::emit(&design.netlist).as_bytes());
+    h.finish()
 }
 
 /// Serializes [`CheckStats`] counters for a journal record. Durations are
@@ -220,16 +215,6 @@ impl IsaSynthesis {
 /// Runs [`synthesize_instr`] for each requested instruction.
 pub fn synthesize_isa(design: &Design, ops: &[Opcode], cfg: &SynthConfig) -> IsaSynthesis {
     synthesize_isa_with(design, ops, cfg, &EngineOptions::sequential())
-}
-
-/// Like [`synthesize_isa`], but fans the work out over worker threads.
-pub fn synthesize_isa_parallel(
-    design: &Design,
-    ops: &[Opcode],
-    cfg: &SynthConfig,
-    threads: usize,
-) -> IsaSynthesis {
-    synthesize_isa_with(design, ops, cfg, &EngineOptions::with_threads(threads))
 }
 
 /// The whole-ISA driver over the parallel property-evaluation engine.

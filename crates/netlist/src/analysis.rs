@@ -193,29 +193,6 @@ pub fn comb_cone_sources(nl: &Netlist, sig: SignalId) -> Result<HashSet<SignalId
     Ok(sources)
 }
 
-/// Returns the registers whose *next-state* logic combinationally depends on
-/// at least one register in `from`.
-///
-/// This is the paper's notion of "PLs connected via pure combinational
-/// logic" lifted to register granularity: if any of µFSM *B*'s state
-/// registers' next-state cones contain any of µFSM *A*'s state registers,
-/// then an instruction's occupancy of *A* can causally influence its
-/// occupancy of *B* one cycle later — making (A, B) a candidate HB edge.
-///
-/// # Panics
-/// Panics on a combinational cycle; callers hold validated netlists.
-pub fn regs_feeding(nl: &Netlist, from: &HashSet<SignalId>) -> HashSet<SignalId> {
-    let mut out = HashSet::new();
-    for r in nl.regs() {
-        let next = nl.reg_next(r);
-        let cone = comb_cone_sources(nl, next).expect("validated netlist is acyclic");
-        if cone.iter().any(|s| from.contains(s)) {
-            out.insert(r);
-        }
-    }
-    out
-}
-
 /// Whether any register in `dst_regs` has a next-state cone containing any
 /// register in `src_regs` — i.e. `src` can influence `dst` within one cycle.
 ///

@@ -18,29 +18,11 @@
 //!
 //! See `DESIGN.md` §14 for how the fingerprint keys the verdict caches.
 
+use crate::fnv::Fnv1a;
 use crate::ir::{BinOp, Netlist, Node, Op, SignalId, UnOp};
 
 /// Canonical-id marker for "no signal" (an unwired register next).
 const NONE_ID: u64 = u64::MAX;
-
-/// Incremental FNV-1a (the repo-wide content hash).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-}
 
 /// Stable operation tag bytes for the fingerprint encoding. Explicit
 /// (rather than `as u8` on the enum) so a declaration reorder in `ir.rs`
@@ -135,7 +117,7 @@ pub fn canonical_order(nl: &Netlist, targets: &[SignalId]) -> (Vec<Option<u32>>,
 pub fn fingerprint(nl: &Netlist, targets: &[SignalId], frees: &[SignalId]) -> u64 {
     let (canon, order) = canonical_order(nl, targets);
     let cid = |s: SignalId| canon[s.index()].expect("operand in cone") as u64;
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     h.u64(order.len() as u64);
     for &s in &order {
         let node = nl.node(s);
@@ -197,7 +179,7 @@ pub fn fingerprint(nl: &Netlist, targets: &[SignalId], frees: &[SignalId]) -> u6
     for f in free_ids {
         h.u64(f);
     }
-    h.0
+    h.finish()
 }
 
 /// A cone extracted into its own canonically renumbered netlist.

@@ -35,6 +35,7 @@ pub mod annotate;
 mod build;
 pub mod cone;
 pub mod diag;
+pub mod fnv;
 mod ir;
 pub mod lint;
 pub mod text;

@@ -3,11 +3,16 @@
 //!
 //! Features: two-literal watching with a dedicated binary-clause fast
 //! path, first-UIP clause learning, VSIDS with phase saving, adaptive
-//! (Glucose) or Luby restarts, an LBD-tiered learnt-clause database with
+//! (Glucose) restarts, an LBD-tiered learnt-clause database with
 //! in-place deletion, root-level inprocessing between queries,
 //! incremental solving under assumptions (one unrolled circuit, thousands
-//! of per-property queries), and conflict budgets that surface as the
-//! paper's *undetermined* property outcomes.
+//! of per-property queries) with the shared assumption prefix retained
+//! on the trail, and conflict budgets that surface as the paper's
+//! *undetermined* property outcomes.
+//!
+//! The heuristics are fixed: there is one configuration, and it is the
+//! one every caller runs. Verdicts never depend on search order; the
+//! differential fuzzer checks them against a reference DPLL solver.
 //!
 //! # Examples
 //!
@@ -26,7 +31,6 @@
 
 mod budget;
 mod cancel;
-mod config;
 pub mod dimacs;
 mod heap;
 mod solver;
@@ -34,6 +38,5 @@ mod types;
 
 pub use budget::{BudgetPool, ClientBudgets};
 pub use cancel::{CancelReason, CancelToken};
-pub use config::{ReduceStrategy, RestartMode, SolverConfig};
 pub use solver::{Solver, SolverStats, StopCause};
 pub use types::{Lit, SolveResult, Var};

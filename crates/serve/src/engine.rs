@@ -18,12 +18,13 @@
 //! answers byte for byte identically.
 
 use crate::proto::{ev_done, ev_error, ev_progress, Op, Request};
-use crate::store::{fnv, VerdictStore};
+use crate::store::VerdictStore;
 use jsonio::Json;
 use mc::{CancelToken, FaultPlan, ServeFault};
 use mupath::{
     design_fingerprint, synthesize_isa_with, ContextMode, EngineOptions, RobustOptions, SynthConfig,
 };
+use netlist::fnv::fnv1a;
 use sat::ClientBudgets;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -351,7 +352,7 @@ fn prepare(req: &Request) -> Result<Prep, String> {
                 opcode: None,
                 bound: 0,
                 budget: 0,
-                key: Some(format!("serve:check:{:016x}", fnv(source.as_bytes()))),
+                key: Some(format!("serve:check:{:016x}", fnv1a(source.as_bytes()))),
             })
         }
         Op::Fuzz => {

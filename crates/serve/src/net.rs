@@ -72,6 +72,9 @@ pub fn serve_tcp(
         conns.retain(|(_, h)| !h.is_finished());
         match listener.accept() {
             Ok((sock, _)) => {
+                // Events are small lines; without this each one can wait
+                // on the client's delayed ACK (Nagle's algorithm).
+                let _ = sock.set_nodelay(true);
                 let server = Arc::clone(&server);
                 let stop = Arc::clone(&stop);
                 let read_half = sock.try_clone();
@@ -175,6 +178,7 @@ fn handle_conn(server: &Server, stop: &AtomicBool, sock: TcpStream) {
 /// verdict seen (`result.exit`), or 1 on protocol errors.
 pub fn run_client(addr: &str, requests: &[Request]) -> std::io::Result<u8> {
     let sock = TcpStream::connect(addr)?;
+    sock.set_nodelay(true)?;
     let mut reader = BufReader::new(sock.try_clone()?);
     let mut writer = sock;
     // Terminal events expected: one per queued job (done/overloaded/

@@ -106,15 +106,6 @@ impl JobStore for VerdictStore {
     }
 }
 
-/// FNV-1a over a byte string (key fingerprinting).
-pub fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -186,15 +186,6 @@ impl<'a> Simulator<'a> {
         self.cycle += 1;
         self.dirty = true;
     }
-
-    /// Runs one full cycle with the given input assignment, returning after
-    /// the clock edge.
-    pub fn run_cycle(&mut self, inputs: &HashMap<SignalId, u64>) {
-        for (&id, &v) in inputs {
-            self.set_input(id, v);
-        }
-        self.step();
-    }
 }
 
 /// A recorded multi-cycle waveform of selected signals.

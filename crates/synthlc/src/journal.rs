@@ -14,6 +14,7 @@
 //! a resumed run's report byte-identical to an uninterrupted one.
 
 use mc::JobStore;
+use netlist::fnv::Fnv1a;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -137,11 +138,11 @@ fn parse_record(line: &str) -> Option<(String, String)> {
 /// FNV-1a over `key NUL record` — the integrity tag appended to every
 /// journal line.
 fn record_checksum(key: &str, record: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key.as_bytes().iter().chain(&[0u8]).chain(record.as_bytes()) {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.bytes(key.as_bytes());
+    h.byte(0);
+    h.bytes(record.as_bytes());
+    h.finish()
 }
 
 impl JobStore for Journal {

@@ -6,6 +6,7 @@ use crate::harness::{build_leak_harness, LeakHarness, LeakHarnessConfig, Operand
 use isa::Opcode;
 use mc::{CheckStats, Checker, Elab, FaultKind, McConfig, UndeterminedReason};
 use mupath::{synthesize_isa_with, EngineOptions, InstrSynthesis, RobustOptions, SynthConfig};
+use netlist::fnv::fnv1a;
 use sat::BudgetPool;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -587,7 +588,7 @@ pub fn synthesize_leakage(
         .enumerate()
         .map(|(pi, &((sp, st), _))| {
             mc::PoolKey::reset(
-                fnv(format!("{fp:016x}:{sp}:{st}").as_bytes()) ^ cover_nets[pi].pool_fp.0,
+                fnv1a(format!("{fp:016x}:{sp}:{st}").as_bytes()) ^ cover_nets[pi].pool_fp.0,
             )
         })
         .collect();
@@ -871,15 +872,6 @@ pub fn synthesize_leakage(
     }
 }
 
-/// FNV-1a over a byte string.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The stable journal key of one IFT unit job: the unit's canonical cone
 /// fingerprint (its covers + the assume universe, with the free
 /// registers — so an edit outside that cone leaves the record valid),
@@ -893,7 +885,7 @@ fn ift_job_key(
     slots: (usize, usize),
     kind: TxKind,
 ) -> String {
-    let dhash = fnv(format!("{:?}|{decisions:?}", cfg.transmitters).as_bytes());
+    let dhash = fnv1a(format!("{:?}|{decisions:?}", cfg.transmitters).as_bytes());
     format!(
         "ift:{cone_fp}:{p:?}:{}:{}:{kind:?}:{}:{:?}:{}:{}:{dhash:016x}",
         slots.0, slots.1, cfg.bound, cfg.conflict_budget, cfg.coi, cfg.static_prune

@@ -208,12 +208,12 @@ if [ "$SERVE_EXIT" != 0 ]; then
 fi
 echo "serve-smoke OK (panic retried to exit 0, cache hit, graceful drain)"
 
-echo "== sat-regression (DIMACS corpus + solver knob sweep) =="
+echo "== sat-regression (DIMACS corpus + CDCL-vs-DPLL fuzz) =="
 # Every corpus file encodes its brute-force-verified status in its name;
 # the CLI must reproduce it through the SAT-competition exit codes
-# (10 = SAT, 20 = UNSAT). Then one pinned fuzz seed re-solves each
-# case's CNF under every heuristic knob combination (restart policy x
-# inprocessing x reduction schedule) and demands verdict invariance.
+# (10 = SAT, 20 = UNSAT). Then one pinned fuzz seed, restricted to the
+# SAT oracle, solves each case's unrolled CNF with the CDCL solver and
+# the reference DPLL solver and demands the same verdict.
 for CNF in crates/sat/tests/corpus/*.cnf; do
   case "$CNF" in
     *-sat.cnf)   WANT=10 ;;
@@ -230,8 +230,8 @@ for CNF in crates/sat/tests/corpus/*.cnf; do
   fi
 done
 if ! cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
-  fuzz --seed 1 --cases 48 --knob-sweep --deadline-secs 60 >/dev/null; then
-  echo "sat-regression: knob-sweep fuzz run failed (repro above, if any)" >&2
+  fuzz --seed 1 --cases 48 --oracles sat --deadline-secs 60 >/dev/null; then
+  echo "sat-regression: CDCL-vs-DPLL fuzz run failed (repro above, if any)" >&2
   exit 1
 fi
 # Incremental replay: the same corpus loaded into ONE pooled solver
@@ -266,6 +266,6 @@ if [ "$INC_EXIT" != 20 ]; then
   echo "sat-regression: incremental replay exited $INC_EXIT, expected 20" >&2
   exit 1
 fi
-echo "sat-regression OK (corpus exit codes, one-solver incremental replay, knob-sweep invariance)"
+echo "sat-regression OK (corpus exit codes, one-solver incremental replay, CDCL-vs-DPLL fuzz)"
 
 echo "CI OK"

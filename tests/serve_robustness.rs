@@ -331,17 +331,11 @@ struct Daemon {
     addr: String,
 }
 
-fn spawn_daemon(journal_flag: &str, journal: &std::path::Path) -> Daemon {
+/// Starts `synthlc-cli serve` on a free port with one worker plus `args`.
+fn spawn_daemon(args: &[&str]) -> Daemon {
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_synthlc-cli"))
-        .args([
-            "serve",
-            "--port",
-            "0",
-            "--workers",
-            "1",
-            journal_flag,
-            journal.to_str().unwrap(),
-        ])
+        .args(["serve", "--port", "0", "--workers", "1"])
+        .args(args)
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("spawn synthlc-cli serve");
@@ -399,7 +393,7 @@ fn killed_daemon_resumes_byte_identically_from_its_journal() {
     // Phase 1: fresh daemon, complete one job, then SIGKILL it mid-batch
     // (two more jobs submitted on a second connection are still queued or
     // in flight when the kill lands).
-    let d1 = spawn_daemon("--journal", &journal);
+    let d1 = spawn_daemon(&["--journal", journal.to_str().unwrap()]);
     let first = client_roundtrip(&d1.addr, &[paths_req("j1")]);
     {
         // Mid-batch load the crash interrupts; answers never arrive.
@@ -418,7 +412,7 @@ fn killed_daemon_resumes_byte_identically_from_its_journal() {
 
     // Phase 2: restart on the same journal. The completed job must be
     // answered byte for byte identically, from cache (no re-solve).
-    let d2 = spawn_daemon("--resume", &journal);
+    let d2 = spawn_daemon(&["--resume", journal.to_str().unwrap()]);
     let resumed = client_roundtrip(
         &d2.addr,
         &[
@@ -463,6 +457,48 @@ fn killed_daemon_resumes_byte_identically_from_its_journal() {
     let status = child.wait().expect("daemon exits after shutdown");
     assert!(status.success(), "graceful drain exits 0, got {status:?}");
     std::fs::remove_file(journal).ok();
+}
+
+#[test]
+fn loopback_check_round_trips_take_milliseconds() {
+    // A `check` takes about a millisecond in-process. Over loopback TCP
+    // each event must leave as one segment on a socket with Nagle's
+    // algorithm off; otherwise a small write waits for the peer's
+    // delayed ACK (tens of ms) and sequential round trips crawl.
+    let d = spawn_daemon(&[]);
+    let sock = TcpStream::connect(&d.addr).expect("connect to daemon");
+    sock.set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut w = sock.try_clone().unwrap();
+    let mut reader = BufReader::new(sock);
+    let start = std::time::Instant::now();
+    for i in 0..20 {
+        let id = format!("c{i}");
+        jsonl::write_line(
+            &mut w,
+            &check_req(&id, "module m { input clk: 1; }").encode(),
+        )
+        .unwrap();
+        loop {
+            let ev = jsonl::read_line(&mut reader)
+                .expect("daemon stays up")
+                .expect("daemon keeps the connection open")
+                .expect("well-formed event line");
+            assert_eq!(ev.field("id").and_then(Json::as_str), Some(id.as_str()));
+            if ev.field("ev").and_then(Json::as_str) == Some("done") {
+                break;
+            }
+        }
+    }
+    let elapsed = start.elapsed();
+    let bye = client_roundtrip(&d.addr, &[Request::new(Op::Shutdown)]);
+    assert!(bye.values().next().unwrap().contains("bye"));
+    let mut child = d.child;
+    assert!(child.wait().expect("daemon exits after shutdown").success());
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "20 sequential loopback check round trips took {elapsed:?}"
+    );
 }
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
