@@ -29,7 +29,9 @@ use std::sync::Arc;
 /// Which engine pair a case exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OracleKind {
-    /// (a) CDCL vs. reference DPLL on the bit-blasted unrolling CNF.
+    /// (a) CDCL vs. reference DPLL on the bit-blasted unrolling CNF,
+    /// one-shot and through an elimination leg (bounded variable
+    /// elimination, then incremental queries over frozen variables).
     Sat,
     /// (b) BMC verdicts vs. simulation: witness replay + brute-force reach.
     Bmc,
@@ -309,8 +311,13 @@ fn outcome_label(o: &Outcome) -> String {
     }
 }
 
+/// Incremental queries of the elimination leg of oracle (a).
+const ELIM_LEG_QUERIES: usize = 4;
+
 /// (a) CDCL vs. reference DPLL on the exact clause set of the unrolled
-/// cover query, captured via the solver's clause log.
+/// cover query, captured via the solver's clause log. When the one-shot
+/// verdicts agree, the elimination leg runs too and the verdict gains a
+/// `+elim` suffix (plain `sat`/`unsat` means the leg hit the DPLL cap).
 fn oracle_sat(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
     let mut u = Unrolling::new(&d.netlist, InitMode::Reset);
     u.gate().solver().set_clause_log(true);
@@ -329,7 +336,7 @@ fn oracle_sat(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         Some(r) => r,
     };
     let detail = format!("{num_vars} vars, {} clauses", clauses.len());
-    match (&reference, cdcl) {
+    let verdict = match (&reference, cdcl) {
         (DpllResult::Sat(model), r) if r.is_sat() => {
             if !dpll::model_satisfies(model, &clauses) {
                 return CaseResult::Mismatch {
@@ -338,18 +345,108 @@ fn oracle_sat(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
                     detail,
                 };
             }
-            CaseResult::Agree("sat".into())
+            "sat"
         }
-        (DpllResult::Unsat, r) if r.is_unsat() => CaseResult::Agree("unsat".into()),
-        (dp, r) => CaseResult::Mismatch {
-            expected: match dp {
-                DpllResult::Sat(_) => "sat".into(),
-                DpllResult::Unsat => "unsat".into(),
-            },
-            actual: format!("{r:?}").to_lowercase(),
-            detail,
-        },
+        (DpllResult::Unsat, r) if r.is_unsat() => "unsat",
+        (dp, r) => {
+            return CaseResult::Mismatch {
+                expected: match dp {
+                    DpllResult::Sat(_) => "sat".into(),
+                    DpllResult::Unsat => "unsat".into(),
+                },
+                actual: format!("{r:?}").to_lowercase(),
+                detail,
+            }
+        }
+    };
+    match elim_leg(num_vars, &clauses, opts.dpll_step_cap, bug) {
+        Ok(true) => CaseResult::Agree(format!("{verdict}+elim")),
+        Ok(false) => CaseResult::Agree(verdict.into()),
+        Err(mismatch) => mismatch,
     }
+}
+
+/// The elimination leg of oracle (a): the same clauses in a fresh
+/// solver with a random subset of variables frozen, bounded variable
+/// elimination, then [`ELIM_LEG_QUERIES`] `solve_assuming` calls over
+/// frozen literals with a random clause over frozen variables added
+/// before each call after the first. Every verdict must match DPLL on
+/// the clauses so far plus the assumptions as units, and every Sat
+/// model — extended over the eliminated variables — must satisfy them.
+/// `Ok(false)` when DPLL hit its cap.
+fn elim_leg(
+    num_vars: usize,
+    clauses: &[Vec<sat::Lit>],
+    dpll_step_cap: u64,
+    bug: bool,
+) -> Result<bool, CaseResult> {
+    let mut rng = prng::Rng::new(0xe11_0000 ^ ((num_vars as u64) << 24) ^ clauses.len() as u64);
+    let mut s = sat::Solver::new();
+    for _ in 0..num_vars {
+        s.new_var();
+    }
+    for c in clauses {
+        s.add_clause(c);
+    }
+    let frozen: Vec<sat::Var> = (0..num_vars as u32)
+        .map(sat::Var)
+        .filter(|_| rng.chance(0.3))
+        .collect();
+    for &v in &frozen {
+        s.freeze(v);
+    }
+    let eliminated = s.eliminate();
+    let mut formula = clauses.to_vec();
+    let random_lits = |rng: &mut prng::Rng, lo: usize, hi: usize| -> Vec<sat::Lit> {
+        if frozen.is_empty() {
+            return Vec::new();
+        }
+        (0..rng.range_usize(lo, hi))
+            .map(|_| sat::Lit::new(frozen[rng.range_usize(0, frozen.len())], rng.flip()))
+            .collect()
+    };
+    for q in 0..ELIM_LEG_QUERIES {
+        if q > 0 {
+            let c = random_lits(&mut rng, 1, 4);
+            if !c.is_empty() {
+                s.add_clause(&c);
+                formula.push(c);
+            }
+        }
+        let assumptions = random_lits(&mut rng, 0, 3);
+        let got = s.solve_assuming(&assumptions);
+        let mut query = formula.clone();
+        query.extend(assumptions.iter().map(|&a| vec![a]));
+        let Some(want) = dpll::solve(num_vars, &query, dpll_step_cap, bug) else {
+            return Ok(false);
+        };
+        let detail = format!(
+            "elimination leg query {q}: {num_vars} vars, {eliminated} eliminated, \
+             {} frozen, {} clauses, {} assumptions",
+            frozen.len(),
+            formula.len(),
+            assumptions.len()
+        );
+        let want_sat = matches!(want, DpllResult::Sat(_));
+        if got.is_sat() != want_sat || (!want_sat && !got.is_unsat()) {
+            return Err(CaseResult::Mismatch {
+                expected: if want_sat { "sat" } else { "unsat" }.into(),
+                actual: format!("{got:?}").to_lowercase(),
+                detail,
+            });
+        }
+        let model_ok = query
+            .iter()
+            .all(|c| c.iter().any(|&l| s.lit_model(l) == Some(true)));
+        if got.is_sat() && !model_ok {
+            return Err(CaseResult::Mismatch {
+                expected: "sat(model-valid)".into(),
+                actual: "sat(extended-model-invalid)".into(),
+                detail,
+            });
+        }
+    }
+    Ok(true)
 }
 
 /// (b) BMC vs. simulation: `Reachable` witnesses must replay; an

@@ -71,6 +71,17 @@ impl GateBuilder {
         self.solver.num_vars()
     }
 
+    /// Runs bounded variable elimination on the solver
+    /// ([`Solver::eliminate`]). The structural-hashing cache is dropped
+    /// first: its entries may name variables about to be eliminated, and
+    /// its memory is better spent on the elimination's working set. Later
+    /// frames simply share no gates with the earlier ones. Returns the
+    /// number of variables eliminated.
+    pub fn eliminate(&mut self) -> usize {
+        self.cache = std::collections::HashMap::new();
+        self.solver.eliminate()
+    }
+
     /// Adds a clause directly.
     pub fn add_clause(&mut self, lits: &[Lit]) {
         self.solver.add_clause(lits);

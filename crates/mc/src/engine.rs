@@ -96,6 +96,14 @@ impl Outcome {
     }
 }
 
+/// Unrollings with fewer SAT variables than this skip variable
+/// elimination even when an interface is declared. Their queries are
+/// bound by conflicts, not propagations: on TinyCore's µPATH slots
+/// (about 1.6k variables) elimination cut propagations by a third but
+/// raised conflicts by 40–95%, making `paths` 5–10 ms slower, while
+/// MiniCache's slots (9.5k) and IFT pairings (38–41k) gained.
+const ELIM_MIN_VARS: usize = 4096;
+
 /// Configuration of a [`Checker`].
 #[derive(Clone, Copy, Debug)]
 pub struct McConfig {
@@ -340,6 +348,11 @@ pub struct Checker<'a> {
     ind: Option<Unrolling<'a>>,
     /// Induction-solver stats snapshot at the last pool charge.
     ind_charged: sat::SolverStats,
+    /// The query interface from [`Checker::declare_interface`], sorted;
+    /// empty when nothing was declared.
+    interface: Vec<SignalId>,
+    /// Variable elimination is due before the next solve.
+    elim_pending: bool,
 }
 
 impl<'a> Checker<'a> {
@@ -419,7 +432,69 @@ impl<'a> Checker<'a> {
             coi_seed,
             ind: None,
             ind_charged: sat::SolverStats::default(),
+            interface: Vec::new(),
+            elim_pending: false,
         }
+    }
+
+    /// Declares the checker's query interface: every signal a later query
+    /// may use as a cover, an assume, or a blocking-clause scope. A
+    /// checker that declares one runs bounded variable elimination
+    /// ([`sat::Solver::eliminate`]) once, just before its first solve,
+    /// keeping every literal of the declared signals at every built
+    /// frame, every literal of the last built frame (so
+    /// [`Checker::ensure_bound`], [`Checker::final_frame_lit`] and
+    /// blocking clauses stay legal) and every activation literal that
+    /// already exists — unless the unrolling has fewer than 4096
+    /// variables, too small to gain. Witness traces are read from the
+    /// extended model,
+    /// so they still replay on the simulator. A checker that declares
+    /// nothing is never eliminated (DESIGN.md §12). Declare before the
+    /// first query: elimination refuses to run once learnt clauses exist.
+    pub fn declare_interface(&mut self, signals: &[SignalId]) {
+        let mut sigs = signals.to_vec();
+        sigs.sort_unstable();
+        sigs.dedup();
+        self.interface = sigs;
+        self.elim_pending = true;
+    }
+
+    /// Panics when an interface is declared and `sig` is not in it: an
+    /// undeclared signal's earlier-frame literals may be eliminated.
+    fn assert_declared(&self, sig: SignalId) {
+        assert!(
+            self.interface.is_empty() || self.interface.binary_search(&sig).is_ok(),
+            "signal {sig:?} is outside the checker's declared interface"
+        );
+    }
+
+    /// The declared-interface elimination, run at most once, before the
+    /// first solve (see [`Checker::declare_interface`]).
+    fn eliminate_if_due(&mut self) {
+        if !self.elim_pending {
+            return;
+        }
+        self.elim_pending = false;
+        if self.unroll.gate().num_vars() < ELIM_MIN_VARS {
+            return;
+        }
+        let frames = self.unroll.num_frames();
+        let mut keep: Vec<Lit> = Vec::new();
+        for &sig in &self.interface {
+            for t in 0..frames {
+                keep.extend_from_slice(self.unroll.lits(t, sig));
+            }
+        }
+        if let Some(last) = frames.checked_sub(1) {
+            keep.extend_from_slice(self.unroll.frame(last));
+        }
+        keep.extend(self.assume_cache.values());
+        keep.extend(self.cover_cache.values());
+        let gate = self.unroll.gate();
+        for l in keep {
+            gate.solver().freeze(l.var());
+        }
+        gate.eliminate();
     }
 
     /// Starts a fresh accounting batch on a persistent (pooled) checker:
@@ -546,6 +621,7 @@ impl<'a> Checker<'a> {
             return l;
         }
         assert_eq!(self.nl.width(sig), 1, "assume signal must be 1 bit");
+        self.assert_declared(sig);
         let act = self.unroll.gate().fresh();
         for t in 0..self.cfg.bound {
             let at = self.unroll.lit(t, sig);
@@ -560,6 +636,7 @@ impl<'a> Checker<'a> {
             return l;
         }
         assert_eq!(self.nl.width(sig), 1, "cover signal must be 1 bit");
+        self.assert_declared(sig);
         let act = self.unroll.gate().fresh();
         let mut clause = vec![!act];
         for t in 0..self.cfg.bound {
@@ -586,6 +663,7 @@ impl<'a> Checker<'a> {
         let mut assumptions: Vec<Lit> =
             assumes.iter().map(|&a| self.assume_activation(a)).collect();
         assumptions.push(self.cover_activation(cover_sig));
+        self.eliminate_if_due();
         self.unroll
             .gate()
             .solver()
@@ -943,6 +1021,54 @@ mod tests {
         assert_eq!(merged.sat_lbd_count, 2 * st.sat_lbd_count);
         assert_eq!(merged.sat_learnt_live(), 2 * st.sat_learnt_live());
         assert_eq!(merged.sat_max_lbd, st.sat_max_lbd);
+    }
+
+    #[test]
+    #[should_panic(expected = "after Solver::eliminate removed it")]
+    fn clause_over_an_eliminated_variable_panics() {
+        // A multiply-accumulate over a symbolic input: enough gates per
+        // frame to clear the elimination size floor.
+        let mut b = Builder::new();
+        let x = b.input("x", 12);
+        let r = b.reg("r", 12, 1);
+        let m = b.mul(r, x);
+        let n = b.add(m, x);
+        b.set_next(r, n).unwrap();
+        let hit = b.eq_const(r, 3);
+        b.name(hit, "hit");
+        let nl = b.finish().unwrap();
+        let mut chk = Checker::new(
+            &nl,
+            McConfig {
+                bound: 20,
+                ..Default::default()
+            },
+        );
+        let hit = nl.find("hit").unwrap();
+        chk.declare_interface(&[hit]);
+        assert!(chk.check_cover(hit, &[]).is_reachable());
+        assert!(chk.solver_stats().1.eliminated_vars > 0);
+        let solver = chk.unroll.gate().solver_ref();
+        let gone = (0..solver.num_vars() as u32)
+            .map(sat::Var)
+            .find(|&v| solver.is_eliminated(v))
+            .expect("elimination removed an internal variable");
+        chk.add_blocking_clause(&[Lit::pos(gone)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the checker's declared interface")]
+    fn undeclared_query_signal_panics() {
+        let nl = counter_with_flag();
+        let mut chk = Checker::new(
+            &nl,
+            McConfig {
+                bound: 8,
+                ..Default::default()
+            },
+        );
+        chk.declare_interface(&[nl.find("at5").unwrap()]);
+        chk.check_cover(nl.find("at7").unwrap(), &[]);
     }
 
     #[test]

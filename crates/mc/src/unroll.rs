@@ -27,8 +27,13 @@ pub struct Unrolling<'a> {
     /// Optional cone-of-influence slice: out-of-cone nodes get no literals.
     coi: Option<Arc<CoiSlice>>,
     gate: GateBuilder,
-    /// `frames[t][sig.index()]` = LSB-first literals of the signal at cycle t.
-    frames: Vec<Vec<Vec<sat::Lit>>>,
+    /// Where each signal's bits sit in a frame: signal `i` owns
+    /// `offsets[i]..offsets[i + 1]` (empty outside the cone). Fixed when
+    /// the first frame is built.
+    offsets: Vec<u32>,
+    /// `frames[t]` = the LSB-first literals of every signal at cycle t,
+    /// packed at `offsets` — one allocation per frame, not per signal.
+    frames: Vec<Vec<sat::Lit>>,
 }
 
 impl<'a> Unrolling<'a> {
@@ -59,6 +64,7 @@ impl<'a> Unrolling<'a> {
             free_regs: HashSet::new(),
             coi: None,
             gate: GateBuilder::new(),
+            offsets: Vec::new(),
             frames: Vec::new(),
         }
     }
@@ -122,7 +128,17 @@ impl<'a> Unrolling<'a> {
     /// # Panics
     /// Panics if the frame has not been built.
     pub fn lits(&self, frame: usize, sig: SignalId) -> &[sat::Lit] {
-        &self.frames[frame][sig.index()]
+        &self.frames[frame][self.bits(sig)]
+    }
+
+    /// Every literal of one frame (all signals, packed).
+    pub(crate) fn frame(&self, frame: usize) -> &[sat::Lit] {
+        &self.frames[frame]
+    }
+
+    /// The range of `sig`'s bits within a frame.
+    fn bits(&self, sig: SignalId) -> std::ops::Range<usize> {
+        self.offsets[sig.index()] as usize..self.offsets[sig.index() + 1] as usize
     }
 
     /// The single literal of a 1-bit signal at `frame`.
@@ -144,13 +160,25 @@ impl<'a> Unrolling<'a> {
 
     fn build_frame(&mut self) {
         let t = self.frames.len();
-        let n = self.nl.len();
-        let mut cur: Vec<Vec<sat::Lit>> = vec![Vec::new(); n];
+        if t == 0 {
+            let mut at = 0u32;
+            self.offsets = Vec::with_capacity(self.nl.len() + 1);
+            for (id, node) in self.nl.iter() {
+                self.offsets.push(at);
+                if self.coi.as_ref().is_none_or(|c| c.keeps(id)) {
+                    at += node.width as u32;
+                }
+            }
+            self.offsets.push(at);
+        }
+        let total = *self.offsets.last().expect("offsets cover every signal") as usize;
+        let mut cur: Vec<sat::Lit> = vec![self.gate.false_lit(); total];
         let elab = Arc::clone(&self.elab);
         for &id in elab.order() {
             if self.coi.as_ref().is_some_and(|c| !c.keeps(id)) {
                 continue;
             }
+            let operand = |s: SignalId| cur[self.bits(s)].to_vec();
             let node = self.nl.node(id);
             let w = node.width;
             let bits = match &node.op {
@@ -166,11 +194,11 @@ impl<'a> Unrolling<'a> {
                         }
                     } else {
                         let nx = next.expect("validated netlist");
-                        self.frames[t - 1][nx.index()].clone()
+                        self.lits(t - 1, nx).to_vec()
                     }
                 }
                 Op::Unary(op, a) => {
-                    let a = cur[a.index()].clone();
+                    let a = operand(*a);
                     match op {
                         UnOp::Not => a.iter().map(|&l| !l).collect(),
                         UnOp::Neg => self.gate.word_neg(&a),
@@ -186,8 +214,7 @@ impl<'a> Unrolling<'a> {
                     }
                 }
                 Op::Binary(op, a, b) => {
-                    let a = cur[a.index()].clone();
-                    let b = cur[b.index()].clone();
+                    let (a, b) = (operand(*a), operand(*b));
                     match op {
                         BinOp::And => self.gate.word_bitwise(&a, &b, GateBuilder::and),
                         BinOp::Or => self.gate.word_bitwise(&a, &b, GateBuilder::or),
@@ -207,20 +234,20 @@ impl<'a> Unrolling<'a> {
                     }
                 }
                 Op::Mux { sel, a, b } => {
-                    let s = cur[sel.index()][0];
-                    let a = cur[a.index()].clone();
-                    let b = cur[b.index()].clone();
+                    let s = operand(*sel)[0];
+                    let (a, b) = (operand(*a), operand(*b));
                     self.gate.word_mux(s, &a, &b)
                 }
-                Op::Slice { src, hi, lo } => cur[src.index()][*lo as usize..=*hi as usize].to_vec(),
+                Op::Slice { src, hi, lo } => operand(*src)[*lo as usize..=*hi as usize].to_vec(),
                 Op::Concat { hi, lo } => {
-                    let mut bits = cur[lo.index()].clone();
-                    bits.extend_from_slice(&cur[hi.index()]);
+                    let mut bits = operand(*lo);
+                    bits.extend(operand(*hi));
                     bits
                 }
             };
             debug_assert_eq!(bits.len(), w as usize);
-            cur[id.index()] = bits;
+            let range = self.bits(id);
+            cur[range].copy_from_slice(&bits);
         }
         self.frames.push(cur);
     }
@@ -230,7 +257,7 @@ impl<'a> Unrolling<'a> {
     pub fn model_value(&self, frame: usize, sig: SignalId) -> u64 {
         let solver = self.gate.solver_ref();
         let mut v = 0u64;
-        for (i, &l) in self.frames[frame][sig.index()].iter().enumerate() {
+        for (i, &l) in self.lits(frame, sig).iter().enumerate() {
             if solver.lit_model(l) == Some(true) {
                 v |= 1 << i;
             }

@@ -358,6 +358,14 @@ pub fn synthesize_isa_with(
                 elab,
                 Some(coi),
             );
+            // The enumeration covers `iuv_done` under the harness assumes
+            // and one opcode's assume, and blocks shapes at the last
+            // frame: everything else may be eliminated.
+            let h = &harnesses[si];
+            let mut interface = vec![h.iuv_done];
+            interface.extend_from_slice(&h.assumes);
+            interface.extend(h.op_assumes.iter().map(|&(_, s)| s));
+            c.declare_interface(&interface);
             if let Some(p) = &opts.budget_pool {
                 c.set_budget_pool(Arc::clone(p));
             }

@@ -19,6 +19,8 @@ use crate::heap::ActivityHeap;
 use crate::types::{Lit, SolveResult, Var};
 use std::sync::Arc;
 
+mod elim;
+
 const UNASSIGNED: i8 = -1;
 const VAR_DECAY: f64 = 0.95;
 const CLAUSE_DECAY: f32 = 0.999;
@@ -275,6 +277,10 @@ pub struct SolverStats {
     pub lbd_count: u64,
     /// Largest LBD seen at learn time.
     pub max_lbd: u32,
+    /// Variables removed by bounded variable elimination.
+    pub eliminated_vars: u64,
+    /// Resolvents added by bounded variable elimination.
+    pub resolvents: u64,
 }
 
 impl SolverStats {
@@ -359,6 +365,17 @@ pub struct Solver {
     pool_watch: Option<Arc<BudgetPool>>,
     last_stop: Option<StopCause>,
     clause_log: Option<Vec<Vec<Lit>>>,
+    /// Variables [`Solver::eliminate`] must keep.
+    frozen: Vec<bool>,
+    /// Variables [`Solver::eliminate`] resolved away.
+    eliminated: Vec<bool>,
+    /// Elimination stack for model extension: entry `i` is
+    /// `elim_lits[elim_ends[i - 1]..elim_ends[i]]`, a removed clause with
+    /// the eliminated variable's literal first (see `solver/elim.rs`).
+    elim_lits: Vec<Lit>,
+    elim_ends: Vec<u32>,
+    /// [`Solver::eliminate`] has run.
+    elim_ran: bool,
 }
 
 impl Solver {
@@ -384,6 +401,8 @@ impl Solver {
         self.level.push(0);
         self.activity.push(0.0);
         self.seen.push(false);
+        self.frozen.push(false);
+        self.eliminated.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.bin_watches.push(Vec::new());
@@ -491,7 +510,8 @@ impl Solver {
     /// falsifies or makes unit falls back to a root reset first.
     ///
     /// # Panics
-    /// Panics if a literal references an unallocated variable.
+    /// Panics if a literal references an unallocated variable or one
+    /// removed by [`Solver::eliminate`].
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         if let Some(log) = &mut self.clause_log {
             log.push(lits.to_vec());
@@ -501,6 +521,12 @@ impl Solver {
         }
         for l in lits {
             assert!(l.var().index() < self.num_vars(), "unallocated variable");
+            assert!(
+                !self.eliminated[l.var().index()],
+                "add_clause names variable {} after Solver::eliminate removed it; \
+                 freeze it before eliminating",
+                l.var()
+            );
         }
         loop {
             // Simplify: sort/dedupe, drop root-false literals, detect
@@ -1469,7 +1495,18 @@ impl Solver {
     /// the level index *is* the index of the next assumption to assert,
     /// so re-assertion after a backjump is O(1) per level rather than a
     /// rescan of the whole assumption list.
+    ///
+    /// # Panics
+    /// Panics if an assumption names a variable removed by
+    /// [`Solver::eliminate`].
     pub fn solve_assuming(&mut self, assumptions: &[Lit]) -> SolveResult {
+        for a in assumptions {
+            assert!(
+                !self.eliminated[a.var().index()],
+                "assumption names variable {} after Solver::eliminate removed it",
+                a.var()
+            );
+        }
         self.last_stop = None;
         if !self.ok {
             return SolveResult::Unsat;
@@ -1632,6 +1669,7 @@ impl Solver {
                     Some(l) => self.decide(l),
                     None => {
                         self.model.copy_from_slice(&self.assigns);
+                        self.extend_model();
                         break SolveResult::Sat;
                     }
                 }

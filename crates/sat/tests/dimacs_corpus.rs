@@ -3,7 +3,8 @@
 //! `*-unsat.cnf`). A fresh solver per file must reproduce that status,
 //! as must one incremental solver holding every file behind activation
 //! literals, and every Sat verdict must come with a model that satisfies
-//! the formula.
+//! the formula — also after bounded variable elimination, where the
+//! model of the eliminated variables comes from model extension.
 
 use sat::{dimacs, SolveResult, Solver};
 use std::path::PathBuf;
@@ -68,6 +69,30 @@ fn corpus_verdicts_match_filenames() {
             assert!(vars.iter().all(|&v| s.value(v).is_some()));
         }
     }
+}
+
+#[test]
+fn eliminated_corpus_keeps_verdicts_and_extended_models_satisfy_the_input() {
+    let mut eliminated = 0;
+    for (path, expect_sat) in corpus_files() {
+        let text = std::fs::read_to_string(&path).expect("corpus file reads");
+        let cnf = dimacs::parse_dimacs(&text).expect("corpus file parses");
+        let mut s = cnf.to_solver();
+        eliminated += s.eliminate();
+        let r = s.solve();
+        assert_eq!(r.is_sat(), expect_sat, "{}", path.display());
+        if r.is_sat() {
+            for c in &cnf.clauses {
+                assert!(
+                    c.iter()
+                        .any(|l| s.value(l.var()).is_some_and(|v| v == l.is_pos())),
+                    "{}: extended model violates clause {c:?}",
+                    path.display()
+                );
+            }
+        }
+    }
+    assert!(eliminated > 0, "elimination never fired on the corpus");
 }
 
 #[test]

@@ -27,6 +27,12 @@
 
 use jsonio::Json;
 
+/// The largest `bound` a `paths`, `leak` or `fuzz` request may ask for.
+/// Unrolling cost grows with the bound, so an unchecked value lets one
+/// line exhaust a worker's memory; every in-tree design drains well
+/// inside it.
+pub const MAX_BOUND: usize = 128;
+
 /// What a request asks the daemon to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
@@ -108,14 +114,14 @@ impl Request {
             format!("unknown op `{op_label}` (known: paths leak check fuzz stats shutdown)")
         })?;
         let str_field = |k: &str| j.field(k).and_then(Json::as_str).map(str::to_owned);
-        let req = Request {
+        let mut req = Request {
             op,
             id: str_field("id").unwrap_or_else(|| "job".to_owned()),
             client: str_field("client").unwrap_or_else(|| "anon".to_owned()),
             design: str_field("design"),
             instr: str_field("instr"),
             source: str_field("source"),
-            bound: j.field("bound").and_then(Json::as_u64).map(|b| b as usize),
+            bound: None,
             budget: j.field("budget").and_then(Json::as_u64),
             seed: j.field("seed").and_then(Json::as_u64).unwrap_or(0),
             cases: j.field("cases").and_then(Json::as_u64).unwrap_or(16),
@@ -132,6 +138,19 @@ impl Request {
                 }
             }
             Op::Fuzz | Op::Stats | Op::Shutdown => {}
+        }
+        if matches!(op, Op::Paths | Op::Leak | Op::Fuzz) {
+            if let Some(b) = j.field("bound") {
+                match b.as_u64() {
+                    Some(n) if (1..=MAX_BOUND as u64).contains(&n) => req.bound = Some(n as usize),
+                    _ => {
+                        return Err(format!(
+                            "`bound` must be an integer in 1..={MAX_BOUND}, got {}",
+                            b.render_compact()
+                        ))
+                    }
+                }
+            }
         }
         Ok(req)
     }
@@ -253,6 +272,37 @@ mod tests {
         assert!(Request::parse(&no_design).unwrap_err().contains("design"));
         let no_source = Json::obj([("op", Json::str("check"))]);
         assert!(Request::parse(&no_source).unwrap_err().contains("source"));
+    }
+
+    #[test]
+    fn bounds_outside_the_protocol_range_are_rejected() {
+        let with_bound = |op: Op, bound: Json| {
+            let mut r = Request::new(op);
+            r.design = Some("tinycore".into());
+            r.instr = Some("add".into());
+            let Json::Obj(mut fields) = r.encode() else {
+                unreachable!("requests encode as objects")
+            };
+            fields.push(("bound".into(), bound));
+            Request::parse(&Json::Obj(fields))
+        };
+        for op in [Op::Paths, Op::Leak, Op::Fuzz] {
+            for bad in [
+                Json::Int(0),
+                Json::Int(129),
+                Json::Int(1_000_000_000),
+                Json::str("9"),
+            ] {
+                let err = with_bound(op, bad).unwrap_err();
+                assert!(err.contains("1..=128"), "{err}");
+            }
+            for good in [1, 12, MAX_BOUND as u64] {
+                assert_eq!(
+                    with_bound(op, Json::Int(good)).unwrap().bound,
+                    Some(good as usize)
+                );
+            }
+        }
     }
 
     #[test]

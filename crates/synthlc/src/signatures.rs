@@ -511,6 +511,10 @@ pub fn synthesize_leakage(
         netlist: netlist::Netlist,
         /// Cover signals per work index (same order as `work`).
         covers: Vec<Vec<netlist::SignalId>>,
+        /// Every signal a query can name: all covers plus the assume
+        /// universe. The COI slice and the pooled checker's declared
+        /// interface are both this list.
+        targets: Vec<netlist::SignalId>,
         elab: Arc<Elab>,
         coi: Option<Arc<mc::CoiSlice>>,
         /// Canonical cone fingerprint per work index: the cone of that
@@ -558,6 +562,7 @@ pub fn synthesize_leakage(
             CoverNet {
                 netlist,
                 covers,
+                targets: all_targets,
                 elab,
                 coi,
                 unit_fps,
@@ -678,6 +683,7 @@ pub fn synthesize_leakage(
                 Arc::clone(&cn.elab),
                 cn.coi.clone(),
             );
+            c.declare_interface(&cn.targets);
             if let Some(p) = &cfg.budget_pool {
                 c.set_budget_pool(Arc::clone(p));
             }

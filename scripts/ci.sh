@@ -213,7 +213,11 @@ echo "== sat-regression (DIMACS corpus + CDCL-vs-DPLL fuzz) =="
 # the CLI must reproduce it through the SAT-competition exit codes
 # (10 = SAT, 20 = UNSAT). Then one pinned fuzz seed, restricted to the
 # SAT oracle, solves each case's unrolled CNF with the CDCL solver and
-# the reference DPLL solver and demands the same verdict.
+# the reference DPLL solver and demands the same verdict. Each case also
+# runs an elimination leg (bounded variable elimination over a random
+# frozen set, then incremental queries checked against DPLL, with every
+# extended model checked against the clauses); the stage fails if no
+# case reports one, so the leg cannot be silently skipped.
 for CNF in crates/sat/tests/corpus/*.cnf; do
   case "$CNF" in
     *-sat.cnf)   WANT=10 ;;
@@ -229,9 +233,16 @@ for CNF in crates/sat/tests/corpus/*.cnf; do
     exit 1
   fi
 done
-if ! cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
-  fuzz --seed 1 --cases 48 --oracles sat --deadline-secs 60 >/dev/null; then
+if ! SAT_FUZZ=$(cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+  fuzz --seed 1 --cases 48 --oracles sat --deadline-secs 60); then
   echo "sat-regression: CDCL-vs-DPLL fuzz run failed (repro above, if any)" >&2
+  exit 1
+fi
+ELIM_LEGS=$(printf '%s\n' "$SAT_FUZZ" | { grep -o '"[a-z]*+elim": *[0-9]*' || true; } \
+  | sed 's/.*: *//' | awk '{n += $1} END {print n + 0}')
+if [ "$ELIM_LEGS" -eq 0 ]; then
+  echo "sat-regression: the pinned fuzz run reported zero elimination legs:" >&2
+  printf '%s\n' "$SAT_FUZZ" >&2
   exit 1
 fi
 # Incremental replay: the same corpus loaded into ONE pooled solver
@@ -266,6 +277,6 @@ if [ "$INC_EXIT" != 20 ]; then
   echo "sat-regression: incremental replay exited $INC_EXIT, expected 20" >&2
   exit 1
 fi
-echo "sat-regression OK (corpus exit codes, one-solver incremental replay, CDCL-vs-DPLL fuzz)"
+echo "sat-regression OK (corpus exit codes, one-solver incremental replay, CDCL-vs-DPLL fuzz, $ELIM_LEGS elimination legs)"
 
 echo "CI OK"

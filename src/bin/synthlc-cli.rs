@@ -629,8 +629,10 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
 /// Parses and runs the `sat` subcommand: solves one DIMACS CNF with the
 /// CDCL core, printing the competition-style answer and model. Exit
 /// codes follow the SAT-competition convention (10 = SAT, 20 = UNSAT,
-/// 0 = undetermined, 1 = bad file / bad arguments). With
-/// `--incremental`, several files are loaded into *one* persistent
+/// 0 = undetermined, 1 = bad file / bad arguments). A one-shot solve
+/// first runs bounded variable elimination with nothing frozen — no
+/// clause follows the file — and prints the extended model, a model of
+/// every input clause. With `--incremental`, several files are loaded into *one* persistent
 /// solver — each file's clauses guarded by a private activation literal
 /// and queried via `solve_assuming` — so learnt clauses accumulate
 /// across the corpus exactly as they do in the pooled checker contexts;
@@ -667,6 +669,7 @@ fn cmd_sat(args: &[String]) -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let cnf = sat::dimacs::parse_dimacs(&text).map_err(|e| format!("{path}: {e}"))?;
     let mut solver = cnf.to_solver();
+    solver.eliminate();
     solver.set_conflict_budget(budget);
     let result = solver.solve();
     println!("s {}", result.answer());
@@ -710,6 +713,10 @@ fn cmd_sat(args: &[String]) -> Result<ExitCode, String> {
             st.blocked_restarts,
             st.avg_lbd(),
             st.max_lbd
+        );
+        eprintln!(
+            "c eliminated vars {} resolvents {}",
+            st.eliminated_vars, st.resolvents
         );
     }
     Ok(sat_exit_code(result))

@@ -501,6 +501,60 @@ fn loopback_check_round_trips_take_milliseconds() {
     );
 }
 
+#[test]
+fn oversized_bound_is_refused_and_the_daemon_keeps_serving() {
+    // An unchecked bound would make a worker unroll until memory runs
+    // out. The daemon must refuse it at parse time with an `error` event
+    // and go on answering the same connection.
+    let d = spawn_daemon(&[]);
+    let sock = TcpStream::connect(&d.addr).expect("connect to daemon");
+    sock.set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut w = sock.try_clone().unwrap();
+    let mut reader = BufReader::new(sock);
+    let Json::Obj(mut fields) = paths_req("huge").encode() else {
+        unreachable!("requests encode as objects")
+    };
+    fields.retain(|(k, _)| k != "bound");
+    fields.push(("bound".into(), Json::Int(1_000_000_000)));
+    jsonl::write_line(&mut w, &Json::Obj(fields)).unwrap();
+    jsonl::write_line(
+        &mut w,
+        &check_req("after", "module m { input clk: 1; }").encode(),
+    )
+    .unwrap();
+    let mut kinds: HashMap<String, Vec<String>> = HashMap::new();
+    while !kinds
+        .get("after")
+        .is_some_and(|k| k.iter().any(|e| e == "done"))
+    {
+        let ev = jsonl::read_line(&mut reader)
+            .expect("daemon stays up")
+            .expect("daemon keeps the connection open")
+            .expect("well-formed event line");
+        let id = ev
+            .field("id")
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .to_owned();
+        let kind = ev
+            .field("ev")
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .to_owned();
+        if kind == "error" {
+            let msg = ev.field("msg").and_then(Json::as_str).unwrap_or("");
+            assert!(msg.contains("bound"), "error names the bad field: {msg}");
+        }
+        kinds.entry(id).or_default().push(kind);
+    }
+    assert_eq!(kinds["huge"], ["error"], "the oversized request is refused");
+    let bye = client_roundtrip(&d.addr, &[Request::new(Op::Shutdown)]);
+    assert!(bye.values().next().unwrap().contains("bye"));
+    let mut child = d.child;
+    assert!(child.wait().expect("daemon exits after shutdown").success());
+}
+
 fn tmp_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("synthlc-serve-robustness");
     std::fs::create_dir_all(&dir).unwrap();

@@ -15,14 +15,15 @@
 //!   direct build at the final bound;
 //! * behaviourally — a `Checker` that solved queries at a shallow bound
 //!   and then grew via `ensure_bound` returns the same verdicts as a
-//!   fresh checker built at the deep bound.
+//!   fresh checker built at the deep bound, also when it declared a query
+//!   interface and ran bounded variable elimination before growing.
 //!
 //! Property-checked over seeded fuzz-generated netlists plus the six
 //! in-tree designs.
 
 use fuzz::{build, sample_genome, GenConfig};
 use mc::{Checker, InitMode, McConfig, Unrolling};
-use netlist::{Netlist, SignalId};
+use netlist::{Netlist, Op, SignalId};
 use prng::Rng;
 use uarch::{build_core, build_tiny, CoreConfig};
 
@@ -151,4 +152,71 @@ fn grown_checker_agrees_with_fresh_checker() {
         covered >= 5,
         "fuzz distribution degenerated: only {covered}/60 reachable covers"
     );
+}
+
+/// A checker that declares its query interface eliminates variables
+/// before its first solve, at the shallow bound, and must then grow via
+/// `ensure_bound` exactly like one that never eliminated: the frozen last
+/// frame carries the new frames, the frozen interface carries the
+/// activations. Verdicts must equal a fresh, undeclared checker's at the
+/// deep bound, and every witness — read from the extended model — must
+/// replay on the simulator signal for signal. The in-tree cache and core
+/// are used because checkers skip elimination below a size floor that
+/// the fuzz generator's designs never reach.
+#[test]
+fn eliminated_checker_grows_and_agrees_with_fresh_checker() {
+    let (shallow, deep) = (12usize, 16usize);
+    let cfg = |bound| McConfig {
+        bound,
+        bound_is_complete: true,
+        ..Default::default()
+    };
+    let (mut eliminated, mut reachable) = (0u64, 0u32);
+    for (name, nl) in in_tree_netlists()
+        .into_iter()
+        .filter(|(n, _)| ["minicache", "minicva6"].contains(n))
+    {
+        // Queries over a spread of the design's 1-bit state and logic:
+        // each cover alone, then under each of two assumes.
+        let bits: Vec<SignalId> = nl
+            .iter()
+            .filter(|(_, n)| n.width == 1 && !matches!(n.op, Op::Const(_) | Op::Input))
+            .map(|(id, _)| id)
+            .collect();
+        let pick = |k: usize| bits[k * bits.len() / 7];
+        let (covers, assumes) = ([pick(0), pick(2), pick(4), pick(6)], [pick(1), pick(5)]);
+        let queries: Vec<(SignalId, Vec<SignalId>)> = covers
+            .iter()
+            .flat_map(|&c| {
+                std::iter::once((c, Vec::new())).chain(assumes.iter().map(move |&a| (c, vec![a])))
+            })
+            .collect();
+        let interface: Vec<SignalId> = covers.iter().chain(&assumes).copied().collect();
+
+        let mut declared = Checker::new(&nl, cfg(shallow));
+        declared.declare_interface(&interface);
+        for (c, q) in &queries {
+            declared.check_cover(*c, q);
+        }
+        eliminated += declared.solver_stats().1.eliminated_vars;
+        declared.ensure_bound(deep);
+
+        let mut fresh = Checker::new(&nl, cfg(deep));
+        for (c, q) in &queries {
+            let want = fresh.check_cover(*c, q);
+            let got = declared.check_cover(*c, q);
+            assert_eq!(
+                (got.is_reachable(), got.is_unreachable()),
+                (want.is_reachable(), want.is_unreachable()),
+                "{name}: eliminated checker disagrees on cover {c:?} under {q:?}"
+            );
+            if let Some(trace) = got.trace() {
+                reachable += 1;
+                fuzz::replay_witness(&nl, trace, *c, None)
+                    .unwrap_or_else(|e| panic!("{name}: witness does not replay: {e}"));
+            }
+        }
+    }
+    assert!(eliminated > 0, "elimination never fired");
+    assert!(reachable >= 4, "only {reachable} reachable queries");
 }
