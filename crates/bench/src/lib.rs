@@ -28,17 +28,6 @@ pub fn scope() -> Scope {
     }
 }
 
-/// The µPATH-synthesis configuration used by the figure binaries.
-pub fn mupath_cfg(design: &Design, slots: Vec<usize>) -> SynthConfig {
-    SynthConfig {
-        slots,
-        context: ContextMode::NoControlFlow,
-        bound: design.max_latency.min(16) + 8,
-        conflict_budget: Some(2_000_000),
-        max_shapes: 64,
-    }
-}
-
 /// The SynthLC configuration for the Fig. 8 sweep at a given scope.
 pub fn leak_cfg(design: &Design, scope: Scope) -> (Vec<Opcode>, LeakConfig) {
     let (transponders, transmitters, max_sources) = match scope {

@@ -79,14 +79,6 @@ impl Outcome {
         matches!(self, Outcome::Undetermined(_))
     }
 
-    /// Why the verdict is undetermined, when it is.
-    pub fn undetermined_reason(&self) -> Option<UndeterminedReason> {
-        match self {
-            Outcome::Undetermined(r) => Some(*r),
-            _ => None,
-        }
-    }
-
     /// The witness trace, when reachable.
     pub fn trace(&self) -> Option<&Trace> {
         match self {

@@ -49,6 +49,9 @@ pub use engine::{CheckStats, Checker, McConfig, Outcome, UndeterminedReason};
 pub use par::{default_threads, resolve_threads, run_jobs};
 pub use pool::{Checkout, PoolKey, SolverPool};
 pub use sat::{CancelReason, CancelToken};
-pub use supervise::{run_jobs_supervised, FaultKind, FaultPlan, JobFailure, JobStore, ServeFault};
+pub use supervise::{
+    run_pooled, EngineOptions, FaultKind, FaultPlan, JobRecord, JobStore, PooledJob, PooledRun,
+    RobustOptions, ServeFault,
+};
 pub use trace::Trace;
 pub use unroll::{InitMode, Unrolling};

@@ -86,10 +86,12 @@ pub struct IuvHarness {
     pub config: HarnessConfig,
 }
 
-/// Strips a trailing decimal entry index from a PL label.
-fn class_of(name: &str) -> String {
+/// The µFSM class of a PL: its state name with any trailing decimal entry
+/// index stripped (`scbIss12` → `scbIss`), so structurally identical µFSMs
+/// such as scoreboard entries share one class. Class tables list classes
+/// in first-seen order over the µFSMs' candidate states.
+pub fn pl_class(name: &str) -> &str {
     name.trim_end_matches(|c: char| c.is_ascii_digit())
-        .to_owned()
 }
 
 /// Builds the IUV harness for a single opcode. The opcode's encoding
@@ -217,7 +219,7 @@ pub fn build_harness_multi(
         let pcr_match = b.eq(pcr, iuv_pc);
         for st in ufsm.candidate_states(&design.netlist) {
             let pl = pls.add(st.name.clone());
-            classes.push(class_of(&st.name));
+            classes.push(pl_class(&st.name).to_owned());
             let mut state_match = b.one();
             for (vi, &var) in ufsm.vars.iter().enumerate() {
                 let vw = b.wire(var);
@@ -358,9 +360,9 @@ mod tests {
 
     #[test]
     fn class_labels_strip_entry_indices() {
-        assert_eq!(class_of("scbIss0"), "scbIss");
-        assert_eq!(class_of("scbIss12"), "scbIss");
-        assert_eq!(class_of("ldFin"), "ldFin");
-        assert_eq!(class_of("ID"), "ID");
+        assert_eq!(pl_class("scbIss0"), "scbIss");
+        assert_eq!(pl_class("scbIss12"), "scbIss");
+        assert_eq!(pl_class("ldFin"), "ldFin");
+        assert_eq!(pl_class("ID"), "ID");
     }
 }

@@ -23,7 +23,8 @@ mod synth;
 pub mod uspec;
 
 pub use harness::{
-    build_harness, build_harness_multi, ContextMode, HarnessConfig, IuvHarness, PlMonitors,
+    build_harness, build_harness_multi, pl_class, ContextMode, HarnessConfig, IuvHarness,
+    PlMonitors,
 };
 pub use synth::{
     class_view, dom_excl_relations, duv_pl_reachability, enumerate_revisit_counts,
@@ -31,87 +32,11 @@ pub use synth::{
 };
 
 use isa::Opcode;
-use mc::{CheckStats, FaultKind, FaultPlan, JobStore, UndeterminedReason};
-use sat::{BudgetPool, CancelToken};
+use mc::CheckStats;
 use std::sync::Arc;
 use uarch::Design;
 
-/// Robustness knobs shared by the whole-ISA driver here and by SynthLC's
-/// leakage driver (DESIGN.md §8). The default — no token, inactive fault
-/// plan, no journal — adds no work and no nondeterminism to a run.
-#[derive(Clone, Debug, Default)]
-pub struct RobustOptions {
-    /// Run-wide cancellation token (explicit cancel and/or wall-clock
-    /// deadline). Queries that trip it degrade to
-    /// `Undetermined(Deadline)`.
-    pub cancel: Option<Arc<CancelToken>>,
-    /// Deterministic fault-injection schedule (testing only).
-    pub faults: FaultPlan,
-    /// Checkpoint store for completed job verdicts; jobs whose key is
-    /// already stored are replayed without running.
-    pub journal: Option<Arc<dyn JobStore>>,
-    /// How many times a transiently failed job (panic, injected fault,
-    /// deadline, budget exhaustion) is rerun before its degraded verdict
-    /// stands. Retries run sequentially on the coordinating thread in
-    /// job order, so any worker count retries the same jobs in the same
-    /// order. `0` (the default) keeps the single-shot behaviour.
-    pub retries: u32,
-}
-
-impl RobustOptions {
-    /// Whether any robustness machinery is switched on.
-    pub fn is_active(&self) -> bool {
-        self.cancel.is_some()
-            || self.faults.is_active()
-            || self.journal.is_some()
-            || self.retries > 0
-    }
-}
-
-/// Options for the parallel property-evaluation engine, shared by the
-/// whole-ISA driver here and by SynthLC's leakage driver.
-#[derive(Clone, Debug, Default)]
-pub struct EngineOptions {
-    /// Worker threads; `0` selects [`mc::default_threads`] (the
-    /// `SYNTHLC_THREADS` environment knob, falling back to the machine's
-    /// available parallelism).
-    pub threads: usize,
-    /// A globally shared conflict/propagation account. Uncapped pools only
-    /// aggregate statistics; capped pools cut off queries once the global
-    /// cap is reached (at the cost of scheduling-dependent results — see
-    /// `DESIGN.md` §6).
-    pub budget_pool: Option<Arc<BudgetPool>>,
-    /// Fault-tolerance knobs (cancellation, fault injection, journal).
-    pub robust: RobustOptions,
-}
-
-impl EngineOptions {
-    /// One worker, no shared budget: today's sequential behaviour.
-    pub fn sequential() -> Self {
-        Self {
-            threads: 1,
-            ..Default::default()
-        }
-    }
-
-    /// A fixed worker count, no shared budget.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            ..Default::default()
-        }
-    }
-
-    /// The effective worker count (resolving `0` to the environment
-    /// default).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            mc::default_threads()
-        } else {
-            self.threads
-        }
-    }
-}
+pub use mc::{EngineOptions, RobustOptions};
 
 /// A stable fingerprint of a design, mixed into every journal key so a
 /// journal written against one RTL revision can never replay onto another.
@@ -124,9 +49,14 @@ pub fn design_fingerprint(design: &Design) -> u64 {
     h.finish()
 }
 
-/// Serializes [`CheckStats`] counters for a journal record. Durations are
-/// deliberately dropped — they are nondeterministic, and resumed runs must
-/// reproduce the uninterrupted run's report byte for byte.
+/// Serializes the verdict counters of [`CheckStats`] for a journal
+/// record: properties, reachable, unreachable, undetermined, and the
+/// budget-exhausted share of undetermined. Telemetry (COI sizes, static
+/// discharges, pool reuse) stays out, so adding a counter never
+/// invalidates a journal, and so do the degradation reasons, which are
+/// zero in every journaled (clean) record. Durations are dropped too —
+/// they are nondeterministic, and resumed runs must reproduce the
+/// uninterrupted run's report byte for byte.
 pub fn encode_check_stats(s: &CheckStats) -> jsonio::Json {
     use jsonio::Json;
     Json::Obj(vec![
@@ -134,41 +64,22 @@ pub fn encode_check_stats(s: &CheckStats) -> jsonio::Json {
         ("r".into(), Json::Int(s.reachable)),
         ("u".into(), Json::Int(s.unreachable)),
         ("ud".into(), Json::Int(s.undetermined)),
-        ("cb".into(), Json::Int(s.coi_bits_before)),
-        ("ca".into(), Json::Int(s.coi_bits_after)),
-        ("ds".into(), Json::Int(s.discharged_static)),
         ("udb".into(), Json::Int(s.undet_budget)),
-        ("udd".into(), Json::Int(s.undet_deadline)),
-        ("udp".into(), Json::Int(s.undet_panicked)),
-        ("udf".into(), Json::Int(s.undet_fault)),
-        ("cr".into(), Json::Int(s.ctx_reused)),
-        ("fe".into(), Json::Int(s.frames_extended)),
-        ("fr".into(), Json::Int(s.frames_rebuilt)),
-        ("lc".into(), Json::Int(s.learnts_carried)),
     ])
 }
 
-/// Parses a journaled [`encode_check_stats`] record (durations zero).
+/// Parses a journaled [`encode_check_stats`] record (every other counter
+/// zero). Fields it does not read — such as the telemetry counters older
+/// records carry — are ignored.
 pub fn decode_check_stats(j: &jsonio::Json) -> Option<CheckStats> {
-    let mut s = CheckStats {
+    Some(CheckStats {
         properties: j.field("p")?.as_u64()?,
         reachable: j.field("r")?.as_u64()?,
         unreachable: j.field("u")?.as_u64()?,
         undetermined: j.field("ud")?.as_u64()?,
+        undet_budget: j.field("udb")?.as_u64()?,
         ..Default::default()
-    };
-    s.coi_bits_before = j.field("cb")?.as_u64()?;
-    s.coi_bits_after = j.field("ca")?.as_u64()?;
-    s.discharged_static = j.field("ds")?.as_u64()?;
-    s.undet_budget = j.field("udb")?.as_u64()?;
-    s.undet_deadline = j.field("udd")?.as_u64()?;
-    s.undet_panicked = j.field("udp")?.as_u64()?;
-    s.undet_fault = j.field("udf")?.as_u64()?;
-    s.ctx_reused = j.field("cr")?.as_u64()?;
-    s.frames_extended = j.field("fe")?.as_u64()?;
-    s.frames_rebuilt = j.field("fr")?.as_u64()?;
-    s.learnts_carried = j.field("lc")?.as_u64()?;
-    Some(s)
+    })
 }
 
 /// Whole-ISA synthesis results.
@@ -221,18 +132,16 @@ pub fn synthesize_isa(design: &Design, ops: &[Opcode], cfg: &SynthConfig) -> Isa
 ///
 /// The job queue holds one job per (instruction, fetch slot), but jobs no
 /// longer own their solver: one multi-opcode harness is built per fetch
-/// slot (the monitor logic is opcode-independent), and a [`mc::SolverPool`]
-/// keyed by (design fingerprint ⊕ slot, [`mc::InitMode::Reset`]) owns one
-/// persistent checker per slot that every opcode's enumeration checks out
-/// in turn. Checkout is ticket-sequenced in job-id order, so the solver
-/// sees an identical query stream for every worker count and results merge
+/// slot (the monitor logic is opcode-independent), and [`mc::run_pooled`]
+/// keys one persistent checker per slot that every opcode's enumeration
+/// checks out in turn, ticket-sequenced in job order — so the solver sees
+/// an identical query stream for every worker count and results merge
 /// byte-identically (the `tests/parallel_determinism.rs` bar); learnt
 /// clauses and the unrolled transition relation carry across the whole
 /// fleet.
 ///
-/// Journal resume is *group-atomic* per slot: a slot's cached verdicts are
-/// only replayed when every opcode of that slot is cached. A partial
-/// replay would leave ticket gaps (cached jobs never check out) and make
+/// Each slot is one replay group: its cached verdicts are only replayed
+/// when every opcode of that slot is cached. A partial replay would make
 /// the pooled solver's clause state depend on which subset resumed —
 /// trading a little resume coverage for determinism.
 pub fn synthesize_isa_with(
@@ -241,8 +150,6 @@ pub fn synthesize_isa_with(
     cfg: &SynthConfig,
     opts: &EngineOptions,
 ) -> IsaSynthesis {
-    let threads = opts.effective_threads();
-    let robust = &opts.robust;
     if ops.is_empty() {
         return IsaSynthesis {
             instrs: Vec::new(),
@@ -285,57 +192,31 @@ pub fn synthesize_isa_with(
         .zip(&slot_targets)
         .map(|(h, t)| mc::ConeFingerprint::compute(&h.netlist, t, &free_regs))
         .collect();
-    let keys: Vec<mc::PoolKey> = cfg
-        .slots
+    let coords: Vec<(usize, usize)> = (0..ops.len())
+        .flat_map(|oi| (0..cfg.slots.len()).map(move |si| (oi, si)))
+        .collect();
+    let jobs: Vec<mc::PooledJob> = coords
         .iter()
-        .zip(&cone_fps)
-        .map(|(&slot, cfp)| {
-            mc::PoolKey::reset(fp ^ cfp.0 ^ (slot as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .map(|&(oi, si)| mc::PooledJob {
+            key: mc::PoolKey::reset(
+                fp ^ cone_fps[si].0 ^ (cfg.slots[si] as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            ),
+            record: opts
+                .robust
+                .journal
+                .as_ref()
+                .map(|_| slot_job_key(cone_fps[si], ops[oi], cfg.slots[si], cfg)),
+            replay_group: si,
         })
         .collect();
-    // Resolve journal hits on the coordinating thread so `resumed_jobs` is
-    // counted before workers start. Atomic per slot group: either every
-    // opcode of a slot replays, or the whole slot reruns.
-    let mut resumed_jobs = 0u64;
-    let keys_json: Vec<Vec<Option<String>>> = (0..cfg.slots.len())
-        .map(|si| {
-            (0..ops.len())
-                .map(|oi| {
-                    robust
-                        .journal
-                        .as_ref()
-                        .map(|_| slot_job_key(cone_fps[si], ops[oi], cfg.slots[si], cfg))
-                })
-                .collect()
-        })
-        .collect();
-    let cached_groups: Vec<Option<Vec<synth::SlotSynthesis>>> = (0..cfg.slots.len())
-        .map(|si| {
-            let journal = robust.journal.as_deref()?;
-            let group: Option<Vec<synth::SlotSynthesis>> = (0..ops.len())
-                .map(|oi| {
-                    let k = keys_json[si][oi].as_deref()?;
-                    synth::SlotSynthesis::decode(&journal.get(k)?)
-                })
-                .collect();
-            if group.is_some() {
-                resumed_jobs += ops.len() as u64;
-            }
-            group
-        })
-        .collect();
-    let pool = mc::SolverPool::new();
-    let jobs: Vec<(usize, usize)> = ops
-        .iter()
-        .enumerate()
-        .flat_map(|(oi, _)| (0..cfg.slots.len()).map(move |si| (oi, si)))
-        .collect();
-    // The per-job body, shared by the parallel batch (ticket = opcode
-    // index, attempt 0) and by sequential coordinator-thread retries
-    // (continuation tickets, attempt ≥ 1).
-    let run_slot = |ix: usize, oi: usize, si: usize, ticket: usize, attempt: u32| {
-        let fault = robust.faults.fault_for_attempt("mupath", ix, attempt);
-        let mut ctx = pool.checkout(keys[si], ticket, cfg.bound, || {
+    let run = mc::run_pooled(
+        "mupath",
+        opts,
+        cfg.bound,
+        &jobs,
+        |ix| {
+            let si = coords[ix].1;
+            let h = &harnesses[si];
             // Slice to the slot-wide query cone. Sound here even though
             // the shape loop consumes witness data: every consumed signal
             // (covers, assumes, signature bits, `visit_now` monitors) is
@@ -343,13 +224,10 @@ pub fn synthesize_isa_with(
             // the sliced CNF is a pure function of the cone, which is
             // what makes cone-keyed journal replays witness-identical to
             // fresh solves after an out-of-cone edit (`DESIGN.md` §14).
-            let elab = Arc::new(mc::Elab::new(&harnesses[si].netlist));
-            let coi = Arc::new(mc::CoiSlice::compute(
-                &harnesses[si].netlist,
-                &slot_targets[si],
-            ));
+            let elab = Arc::new(mc::Elab::new(&h.netlist));
+            let coi = Arc::new(mc::CoiSlice::compute(&h.netlist, &slot_targets[si]));
             let mut c = mc::Checker::with_coi(
-                &harnesses[si].netlist,
+                &h.netlist,
                 mc::McConfig {
                     bound: 0,
                     ..cfg.mc_config()
@@ -361,130 +239,35 @@ pub fn synthesize_isa_with(
             // The enumeration covers `iuv_done` under the harness assumes
             // and one opcode's assume, and blocks shapes at the last
             // frame: everything else may be eliminated.
-            let h = &harnesses[si];
             let mut interface = vec![h.iuv_done];
             interface.extend_from_slice(&h.assumes);
             interface.extend(h.op_assumes.iter().map(|&(_, s)| s));
             c.declare_interface(&interface);
-            if let Some(p) = &opts.budget_pool {
-                c.set_budget_pool(Arc::clone(p));
-            }
-            if let Some(token) = &robust.cancel {
-                c.set_cancel_token(Arc::clone(token));
-            }
             c
-        });
-        // Injected panics fire after checkout so the guard's drop releases
-        // the next ticket (discarding the checker; the slot's next opcode
-        // deterministically rebuilds it).
-        if fault == Some(FaultKind::Panic) {
-            panic!("injected fault: panic in mupath job {ix}");
-        }
-        match fault {
-            Some(FaultKind::ForceUnknown) => ctx.set_fault(UndeterminedReason::FaultInjected),
-            Some(FaultKind::DeadlineExpired) => ctx.set_fault(UndeterminedReason::Deadline),
-            _ => {}
-        }
-        let r = synth::enumerate_slot(&harnesses[si], ops[oi], &mut ctx, cfg);
-        drop(ctx);
-        // Only clean verdicts are journaled: degraded jobs must rerun on
-        // resume so an interrupted faulty run can still converge to the
-        // uninterrupted result.
-        if fault.is_none() && r.stats.degraded() == 0 {
-            if let (Some(j), Some(k)) = (robust.journal.as_deref(), keys_json[si][oi].as_deref()) {
-                j.put(k, &r.encode());
-            }
-        }
-        r
-    };
-    let mut results = mc::run_jobs_supervised(jobs.clone(), threads, |ix, (oi, si)| {
-        if let Some(group) = &cached_groups[si] {
-            return group[oi].clone();
-        }
-        // Tickets are dense per slot because cached groups (which never
-        // check out) are all-or-nothing: within a running group the ticket
-        // is simply the opcode index.
-        run_slot(ix, oi, si, oi, 0)
-    });
-    // Transient-failure recovery: rerun failed or degraded jobs
-    // sequentially, in job order, on this thread. Each rerun consumes the
-    // slot's next checkout ticket, so the pooled solver's query stream —
-    // and therefore the merged report — stays a pure function of the job
-    // list and the retry schedule, independent of worker count.
-    let mut retried_jobs = 0u64;
-    if robust.retries > 0 {
-        let mut next_ticket: Vec<usize> = cached_groups
-            .iter()
-            .map(|g| if g.is_some() { 0 } else { ops.len() })
-            .collect();
-        for (ix, &(oi, si)) in jobs.iter().enumerate() {
-            for attempt in 1..=robust.retries {
-                let needs_retry = match &results[ix] {
-                    Ok(s) => s.stats.degraded() > 0,
-                    Err(_) => true,
-                };
-                if !needs_retry {
-                    break;
-                }
-                // A tripped run-wide deadline can't be outrun by retrying.
-                if robust.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                    break;
-                }
-                retried_jobs += 1;
-                let ticket = next_ticket[si];
-                next_ticket[si] += 1;
-                results[ix] = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_slot(ix, oi, si, ticket, attempt)
-                }))
-                .map_err(|payload| mc::JobFailure {
-                    job_id: ix,
-                    payload_msg: payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into()),
-                    backtrace_hint: format!("panicked again on retry attempt {attempt}"),
-                });
-            }
-        }
-    }
-    let mut degraded_jobs = 0u64;
-    let mut results = results.into_iter();
-    let mut instrs = Vec::new();
+        },
+        |ix, checker| {
+            let (oi, si) = coords[ix];
+            synth::enumerate_slot(&harnesses[si], ops[oi], checker, cfg)
+        },
+    );
+    let mut results = run.results.into_iter();
     let mut stats = CheckStats::default();
-    for &op in ops {
-        let slots: Vec<synth::SlotSynthesis> = results
-            .by_ref()
-            .take(cfg.slots.len())
-            .map(|r| match r {
-                Ok(s) => {
-                    if s.stats.degraded() > 0 {
-                        degraded_jobs += 1;
-                    }
-                    s
-                }
-                Err(_) => {
-                    degraded_jobs += 1;
-                    synth::SlotSynthesis::degraded(UndeterminedReason::JobPanicked)
-                }
-            })
-            .collect();
-        let r = synth::assemble_instr(op, slots, &meta);
-        stats.absorb(&r.stats);
-        instrs.push(r);
-    }
-    let cone_misses = if robust.journal.is_some() {
-        jobs.len() as u64 - resumed_jobs
-    } else {
-        0
-    };
+    let instrs = ops
+        .iter()
+        .map(|&op| {
+            let r =
+                synth::assemble_instr(op, results.by_ref().take(cfg.slots.len()).collect(), &meta);
+            stats.absorb(&r.stats);
+            r
+        })
+        .collect();
     IsaSynthesis {
         instrs,
         stats,
-        degraded_jobs,
-        resumed_jobs,
-        cone_misses,
-        retried_jobs,
+        degraded_jobs: run.degraded_jobs,
+        resumed_jobs: run.resumed_jobs,
+        cone_misses: run.cone_misses,
+        retried_jobs: run.retried_jobs,
     }
 }
 

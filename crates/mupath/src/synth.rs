@@ -22,7 +22,7 @@
 
 use crate::harness::{build_harness, ContextMode, HarnessConfig, IuvHarness};
 use isa::Opcode;
-use mc::{CheckStats, Checker, McConfig, Outcome, UndeterminedReason};
+use mc::{CheckStats, Checker, JobRecord, McConfig, Outcome};
 use netlist::analysis::comb_connected;
 use netlist::{Builder, SignalId};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -65,6 +65,25 @@ impl SynthConfig {
             context: ContextMode::Solo,
             bound: design.max_latency.min(18) + 6,
             conflict_budget: Some(4_000_000),
+            max_shapes: 64,
+        }
+    }
+
+    /// The interactive default shared by `synthlc-cli paths`/`leak` and
+    /// the serve daemon: slots 0 and 1, bound `max_latency.min(16) + 8`, a
+    /// 2M conflict budget, 64 shapes, and the no-control-flow context —
+    /// or any context for a design with its own opcode encoding (the
+    /// cache DUV, whose requests are not instructions).
+    pub fn interactive(design: &Design) -> Self {
+        Self {
+            slots: vec![0, 1],
+            context: if design.type_values.is_empty() {
+                ContextMode::NoControlFlow
+            } else {
+                ContextMode::Any
+            },
+            bound: design.max_latency.min(16) + 8,
+            conflict_budget: Some(2_000_000),
             max_shapes: 64,
         }
     }
@@ -228,23 +247,19 @@ pub(crate) fn slot_meta(design: &Design, harness: &IuvHarness) -> SlotMeta {
 /// of parallelism of the whole-ISA driver. Jobs over the same instruction
 /// are merged in slot order by [`assemble_instr`], reproducing the
 /// sequential per-instruction result exactly.
-#[derive(Clone)]
 pub(crate) struct SlotSynthesis {
     shapes: BTreeMap<Signature, ConcretePath>,
     pub(crate) complete: bool,
     pub(crate) stats: CheckStats,
 }
 
-impl SlotSynthesis {
-    /// The stand-in result for a job the supervisor caught panicking (or
-    /// that a fault plan killed): no shapes, incomplete, one undetermined
-    /// property on the books under `reason`.
-    pub(crate) fn degraded(reason: UndeterminedReason) -> Self {
-        let mut stats = CheckStats {
-            properties: 1,
-            ..Default::default()
-        };
-        stats.count_undetermined(reason);
+impl JobRecord for SlotSynthesis {
+    fn stats(&self) -> &CheckStats {
+        &self.stats
+    }
+
+    /// No shapes, incomplete.
+    fn stand_in(stats: CheckStats) -> Self {
         Self {
             shapes: BTreeMap::new(),
             complete: false,
@@ -255,7 +270,7 @@ impl SlotSynthesis {
     /// Serializes the slot verdict for the checkpoint journal. Metadata and
     /// durations are excluded: the former is derivable from the design, the
     /// latter is nondeterministic.
-    pub(crate) fn encode(&self) -> String {
+    fn encode(&self) -> String {
         use jsonio::Json;
         let shapes: Vec<Json> = self
             .shapes
@@ -301,7 +316,7 @@ impl SlotSynthesis {
 
     /// Parses a journaled record back into a slot verdict. Returns `None`
     /// on any shape mismatch, which the driver treats as a cache miss.
-    pub(crate) fn decode(s: &str) -> Option<Self> {
+    fn decode(s: &str) -> Option<Self> {
         let j = jsonio::Json::parse(s).ok()?;
         if j.field("v")?.as_u64()? != 2 {
             return None;
@@ -696,6 +711,7 @@ pub fn enumerate_revisit_counts(
 #[cfg(test)]
 mod codec_tests {
     use super::*;
+    use mc::UndeterminedReason;
 
     fn sample() -> SlotSynthesis {
         let mut shapes = BTreeMap::new();
@@ -745,6 +761,43 @@ mod codec_tests {
         }
         assert_eq!(decoded.stats.properties, 9);
         assert_eq!(decoded.stats.undetermined, 2);
+    }
+
+    /// Records journaled before telemetry left the verdict records carry
+    /// COI, static-discharge, pool-reuse and degradation counters in
+    /// `stats`. They still decode: the verdict counters survive, every
+    /// other counter reads as zero, and re-encoding drops the extras.
+    #[test]
+    fn parent_format_record_with_telemetry_decodes() {
+        let parent = concat!(
+            r#"{"v":2,"complete":true,"shapes":[{"sig":"100011","occ":[[0,[1]],[3,[4,7]]]}],"#,
+            r#""stats":{"p":9,"r":4,"u":3,"ud":1,"cb":512,"ca":120,"ds":2,"udb":1,"udd":0,"#,
+            r#""udp":0,"udf":0,"cr":1,"fe":24,"fr":0,"lc":381}}"#
+        );
+        let d = SlotSynthesis::decode(parent).expect("parent-format record decodes");
+        assert!(d.complete);
+        assert_eq!(d.shapes.len(), 1);
+        let s = &d.stats;
+        assert_eq!(
+            (s.properties, s.reachable, s.unreachable, s.undetermined),
+            (9, 4, 3, 1)
+        );
+        assert_eq!(s.undet_budget, 1);
+        assert_eq!(
+            (s.coi_bits_before, s.coi_bits_after, s.discharged_static),
+            (0, 0, 0)
+        );
+        assert_eq!(
+            (s.ctx_reused, s.frames_extended, s.learnts_carried),
+            (0, 0, 0)
+        );
+        assert_eq!(
+            d.encode(),
+            concat!(
+                r#"{"v":2,"complete":true,"shapes":[{"sig":"100011","occ":[[0,[1]],[3,[4,7]]]}],"#,
+                r#""stats":{"p":9,"r":4,"u":3,"ud":1,"udb":1}}"#
+            )
+        );
     }
 
     /// A torn journal tail — any truncation or appended garbage — must

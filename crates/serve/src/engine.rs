@@ -21,9 +21,7 @@ use crate::proto::{ev_done, ev_error, ev_progress, Op, Request};
 use crate::store::VerdictStore;
 use jsonio::Json;
 use mc::{CancelToken, FaultPlan, ServeFault};
-use mupath::{
-    design_fingerprint, synthesize_isa_with, ContextMode, EngineOptions, RobustOptions, SynthConfig,
-};
+use mupath::{design_fingerprint, synthesize_isa_with, EngineOptions, RobustOptions, SynthConfig};
 use netlist::fnv::fnv1a;
 use sat::ClientBudgets;
 use std::collections::VecDeque;
@@ -32,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-use synthlc::{synthesize_leakage, LeakConfig, TxKind};
+use synthlc::{synthesize_leakage, LeakConfig};
 use uarch::Design;
 
 /// Daemon configuration.
@@ -329,7 +327,9 @@ fn prepare(req: &Request) -> Result<Prep, String> {
                 .copied()
                 .find(|o| o.mnemonic().eq_ignore_ascii_case(iname))
                 .ok_or_else(|| format!("`{iname}` is not implemented by {}", design.name))?;
-            let bound = req.bound.unwrap_or(design.max_latency.min(16) + 8);
+            let bound = req
+                .bound
+                .unwrap_or_else(|| SynthConfig::interactive(&design).bound);
             let budget = req.budget.unwrap_or(2_000_000);
             let fp = design_fingerprint(&design);
             let key = format!(
@@ -377,21 +377,9 @@ fn prepare(req: &Request) -> Result<Prep, String> {
     }
 }
 
-fn design_by_name(name: &str) -> Option<Design> {
-    Some(match name {
-        "minicva6" => uarch::build_core(&uarch::CoreConfig::default()),
-        "minicva6-mul" => uarch::build_core(&uarch::CoreConfig::cva6_mul()),
-        "minicva6-op" => uarch::build_core(&uarch::CoreConfig::cva6_op()),
-        "hardened" => uarch::build_core(&uarch::CoreConfig::hardened()),
-        "tinycore" => uarch::build_tiny(),
-        "minicache" => uarch::cache::build_cache(),
-        _ => return None,
-    })
-}
-
 fn load_design(spec: &str) -> Result<Design, String> {
     if !spec.ends_with(".nl") && !std::path::Path::new(spec).is_file() {
-        return design_by_name(spec)
+        return uarch::design_by_name(spec)
             .ok_or_else(|| format!("unknown design `{spec}` (not a built-in, not a file)"));
     }
     let src = std::fs::read_to_string(spec).map_err(|e| format!("{spec}: {e}"))?;
@@ -569,18 +557,12 @@ fn execute(
         Op::Paths => {
             let design = prep.design.as_ref().expect("prepared");
             let op = prep.opcode.expect("prepared");
-            let cfg = SynthConfig {
-                slots: vec![0, 1],
-                context: default_context(design),
-                bound: prep.bound,
-                conflict_budget: Some(prep.budget),
-                max_shapes: 64,
-            };
             let opts = EngineOptions {
                 threads: 1,
                 budget_pool: Some(budget_pool),
                 robust,
             };
+            let cfg = synth_config(design, prep);
             let isa_synth = synthesize_isa_with(design, &[op], &cfg, &opts);
             let r = &isa_synth.instrs[0];
             let degraded = isa_synth.degraded_jobs > 0 || isa_synth.stats.degraded() > 0;
@@ -604,45 +586,10 @@ fn execute(
             let design = prep.design.as_ref().expect("prepared");
             let op = prep.opcode.expect("prepared");
             let cfg = LeakConfig {
-                mupath: SynthConfig {
-                    slots: vec![0, 1],
-                    context: default_context(design),
-                    bound: prep.bound,
-                    conflict_budget: Some(prep.budget),
-                    max_shapes: 64,
-                },
-                transmitters: design
-                    .isa
-                    .iter()
-                    .copied()
-                    .filter(|t| {
-                        matches!(
-                            t,
-                            isa::Opcode::Add
-                                | isa::Opcode::Mul
-                                | isa::Opcode::Div
-                                | isa::Opcode::Lw
-                                | isa::Opcode::Sw
-                                | isa::Opcode::Beq
-                                | isa::Opcode::Jalr
-                        )
-                    })
-                    .collect(),
-                kinds: vec![
-                    TxKind::Intrinsic,
-                    TxKind::DynamicOlder,
-                    TxKind::DynamicYounger,
-                    TxKind::Static,
-                ],
-                bound: prep.bound,
-                conflict_budget: Some(prep.budget),
                 threads: 1,
-                slot_base: 0,
-                max_sources: Some(3),
-                coi: true,
-                static_prune: true,
                 budget_pool: Some(budget_pool),
                 robust,
+                ..LeakConfig::interactive(design, synth_config(design, prep))
             };
             let report = synthesize_leakage(design, &[op], &cfg);
             let mut stats = report.mupath_stats;
@@ -713,11 +660,14 @@ fn execute(
     }
 }
 
-fn default_context(design: &Design) -> ContextMode {
-    if design.type_values.is_empty() {
-        ContextMode::NoControlFlow
-    } else {
-        ContextMode::Any
+/// The µPATH-phase configuration of a `paths`/`leak` job: the
+/// interactive default that `synthlc-cli` uses, at the job's bound and
+/// budget.
+fn synth_config(design: &Design, prep: &Prep) -> SynthConfig {
+    SynthConfig {
+        bound: prep.bound,
+        conflict_budget: Some(prep.budget),
+        ..SynthConfig::interactive(design)
     }
 }
 

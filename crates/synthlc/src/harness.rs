@@ -238,11 +238,6 @@ fn track(
     }
 }
 
-fn class_of(name: &str) -> String {
-    name.trim_end_matches(|c: char| c.is_ascii_digit())
-        .to_owned()
-}
-
 /// Builds the leak harness: IFT instrumentation + trackers + assume/cover
 /// machinery.
 ///
@@ -289,7 +284,7 @@ pub fn build_leak_harness(design: &Design, cfg: &LeakHarnessConfig) -> LeakHarne
     for ufsm in &ann.ufsms {
         for st in ufsm.candidate_states(&design.netlist) {
             pls.add(st.name.clone());
-            classes.push(class_of(&st.name));
+            classes.push(mupath::pl_class(&st.name).to_owned());
         }
     }
 

@@ -4,7 +4,7 @@
 
 use crate::harness::{build_leak_harness, LeakHarness, LeakHarnessConfig, Operand, TxKind};
 use isa::Opcode;
-use mc::{CheckStats, Checker, Elab, FaultKind, McConfig, UndeterminedReason};
+use mc::{CheckStats, Checker, Elab, JobRecord, McConfig};
 use mupath::{synthesize_isa_with, EngineOptions, InstrSynthesis, RobustOptions, SynthConfig};
 use netlist::fnv::fnv1a;
 use sat::BudgetPool;
@@ -219,13 +219,36 @@ impl LeakConfig {
         }
     }
 
-    /// The effective worker count (resolving `0` to the environment
-    /// default).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            mc::default_threads()
-        } else {
-            self.threads
+    /// The interactive default shared by `synthlc-cli leak` and the serve
+    /// daemon, around the µPATH-phase configuration `mupath` (usually
+    /// [`SynthConfig::interactive`], whose bound and conflict budget the
+    /// IFT phase reuses): the design's representative transmitters among
+    /// ADD, MUL, DIV, LW, SW, BEQ and JALR, all four typings, and the top
+    /// three decision sources per transponder.
+    pub fn interactive(design: &Design, mupath: SynthConfig) -> Self {
+        Self {
+            transmitters: design
+                .isa
+                .iter()
+                .copied()
+                .filter(|t| {
+                    matches!(
+                        t,
+                        Opcode::Add
+                            | Opcode::Mul
+                            | Opcode::Div
+                            | Opcode::Lw
+                            | Opcode::Sw
+                            | Opcode::Beq
+                            | Opcode::Jalr
+                    )
+                })
+                .collect(),
+            bound: mupath.bound,
+            conflict_budget: mupath.conflict_budget,
+            max_sources: Some(3),
+            mupath,
+            ..Self::for_design(design)
         }
     }
 
@@ -292,23 +315,13 @@ impl StaticPrune {
             ift::taint_reachable(&design.netlist, &src1, &blocked),
             ift::taint_reachable(&design.netlist, &src2, &blocked),
         ];
-        // Class table built exactly like the harness's: candidate-state
-        // names with trailing digits trimmed, first-seen order.
-        let mut class_table = uhb::PlTable::new();
-        let mut class_regs: Vec<Vec<netlist::SignalId>> = Vec::new();
+        let classes = class_table(design);
+        let mut class_regs: Vec<Vec<netlist::SignalId>> = vec![Vec::new(); classes.len()];
         for ufsm in &ann.ufsms {
             for st in ufsm.candidate_states(&design.netlist) {
-                let cname = st
-                    .name
-                    .trim_end_matches(|c: char| c.is_ascii_digit())
-                    .to_owned();
-                let cid = match class_table.find(&cname) {
-                    Some(c) => c,
-                    None => {
-                        class_regs.push(Vec::new());
-                        class_table.add(cname)
-                    }
-                };
+                let cid = classes
+                    .find(mupath::pl_class(&st.name))
+                    .expect("every candidate state has a class");
                 let regs = &mut class_regs[cid.index()];
                 for &r in ufsm.vars.iter().chain(std::iter::once(&ufsm.pcr)) {
                     if !regs.contains(&r) {
@@ -333,6 +346,22 @@ impl StaticPrune {
     }
 }
 
+/// The design's PL-class table — [`mupath::pl_class`] of every µFSM
+/// candidate state, in first-seen order — whose ids the class-level
+/// decisions carry (the harnesses build the same table).
+fn class_table(design: &Design) -> uhb::PlTable {
+    let mut table = uhb::PlTable::new();
+    for ufsm in &design.annotations.ufsms {
+        for st in ufsm.candidate_states(&design.netlist) {
+            let class = mupath::pl_class(&st.name);
+            if table.find(class).is_none() {
+                table.add(class);
+            }
+        }
+    }
+    table
+}
+
 /// Runs the IFT queries of one (transponder, slot arrangement, transmitter
 /// typing) job. The harness is shared immutably across every job of its
 /// slot arrangement; the checker — unrolling + SAT solver over the
@@ -350,7 +379,7 @@ fn ift_kind_job(
     checker: &mut Checker<'_>,
     prune: Option<&StaticPrune>,
     cfg: &LeakConfig,
-) -> (Vec<Tag>, CheckStats) {
+) -> IftUnit {
     let mut tags = Vec::new();
     let t_candidates: Vec<Opcode> = if kind == TxKind::Intrinsic {
         vec![p]
@@ -411,7 +440,10 @@ fn ift_kind_job(
             }
         }
     }
-    (tags, checker.stats())
+    IftUnit {
+        tags,
+        stats: checker.stats(),
+    }
 }
 
 /// Runs the complete SynthLC flow (Fig. 6 bottom): µPATH synthesis, then
@@ -422,18 +454,14 @@ pub fn synthesize_leakage(
     cfg: &LeakConfig,
 ) -> LeakageReport {
     // Phase 1: RTL2MµPATH.
-    let threads = cfg.effective_threads();
     let engine = EngineOptions {
-        threads,
+        threads: cfg.threads,
         budget_pool: cfg.budget_pool.clone(),
         robust: cfg.robust.clone(),
     };
+    let threads = engine.effective_threads();
     let isa_synth = synthesize_isa_with(design, transponders, &cfg.mupath, &engine);
     let mupath_stats = isa_synth.stats;
-    let mut degraded_jobs = isa_synth.degraded_jobs;
-    let mut resumed_jobs = isa_synth.resumed_jobs;
-    let mut cone_misses = isa_synth.cone_misses;
-    let mut retried_jobs = isa_synth.retried_jobs;
 
     // Phase 2: symbolic IFT per candidate transponder.
     struct Work {
@@ -585,9 +613,13 @@ pub fn synthesize_leakage(
     let fp = mupath::design_fingerprint(design);
     // One pool key per arrangement — mixed with the arrangement's merged
     // cone fingerprint, so the pooled unrolling is keyed by the logic it
-    // actually encodes. The unit's checkout ticket is its rank among the
-    // arrangement's *running* (non-replayed) units in job order, so the
-    // pooled solver sees an identical query stream for every worker count.
+    // actually encodes. Replay is *per unit*: each unit's record is keyed
+    // by its own cone fingerprint, so after a local design edit only the
+    // units whose cones the edit touched re-solve, and the misses of a
+    // pairing take dense checkout tickets in job order. (Verdicts are
+    // per-unit pure; only solver-history counters can differ between a
+    // partially replayed run and a cold one, and those never enter the
+    // verdict report.)
     let keys: Vec<mc::PoolKey> = pairings
         .iter()
         .enumerate()
@@ -597,19 +629,12 @@ pub fn synthesize_leakage(
             )
         })
         .collect();
-    // Resolve journal hits on the coordinating thread (counting them).
-    // Replay is *per unit*: each unit's record is keyed by its own cone
-    // fingerprint, so after a local design edit only the units whose
-    // cones the edit touched re-solve. The misses of a pairing take
-    // dense checkout tickets in job order — the shared solver's query
-    // stream is a pure function of the miss set, independent of worker
-    // count. (Verdicts are per-unit pure; only solver-history counters
-    // can differ between a partially replayed run and a cold one, and
-    // those never enter the verdict report.)
-    let unit_keys: Vec<Option<String>> = units
+    let jobs: Vec<mc::PooledJob> = units
         .iter()
-        .map(|&(wi, pi, kind)| {
-            cfg.robust.journal.as_ref().map(|_| {
+        .enumerate()
+        .map(|(ui, &(wi, pi, kind))| mc::PooledJob {
+            key: keys[pi],
+            record: cfg.robust.journal.as_ref().map(|_| {
                 ift_job_key(
                     cover_nets[pi].unit_fps[wi],
                     cfg,
@@ -618,61 +643,17 @@ pub fn synthesize_leakage(
                     pairings[pi].0,
                     kind,
                 )
-            })
+            }),
+            replay_group: ui,
         })
         .collect();
-    // One replayed IFT unit: its leaking tag set plus the query stats.
-    type IftUnitRecord = (Vec<Tag>, CheckStats);
-    let cached: Vec<Option<IftUnitRecord>> = units
-        .iter()
-        .enumerate()
-        .map(|(ui, _)| {
-            let journal = cfg.robust.journal.as_deref()?;
-            let k = unit_keys[ui].as_deref()?;
-            let rec = match journal.get(k).as_deref().and_then(decode_ift_record) {
-                Some(rec) => rec,
-                None => {
-                    cone_misses += 1;
-                    return None;
-                }
-            };
-            resumed_jobs += 1;
-            Some(rec)
-        })
-        .collect();
-    let tickets: Vec<usize> = {
-        let mut next = vec![0usize; pairings.len()];
-        units
-            .iter()
-            .enumerate()
-            .map(|(ui, &(_, pi, _))| {
-                if cached[ui].is_some() {
-                    usize::MAX // replayed: never checks out
-                } else {
-                    let t = next[pi];
-                    next[pi] += 1;
-                    t
-                }
-            })
-            .collect()
-    };
-    let miss_count: Vec<usize> = {
-        let mut n = vec![0usize; pairings.len()];
-        for (ui, &(_, pi, _)) in units.iter().enumerate() {
-            if cached[ui].is_none() {
-                n[pi] += 1;
-            }
-        }
-        n
-    };
-    let pool = mc::SolverPool::new();
-    // The per-unit body, shared by the parallel batch (ticket =
-    // `tickets[ix]`, attempt 0) and by sequential coordinator-thread
-    // retries (continuation tickets, attempt ≥ 1).
-    let run_unit = |ix: usize, wi: usize, pi: usize, kind: TxKind, ticket: usize, attempt: u32| {
-        let fault = cfg.robust.faults.fault_for_attempt("ift", ix, attempt);
-        let cn = &cover_nets[pi];
-        let mut ctx = pool.checkout(keys[pi], ticket, cfg.bound, || {
+    let ift = mc::run_pooled(
+        "ift",
+        &engine,
+        cfg.bound,
+        &jobs,
+        |ix| {
+            let cn = &cover_nets[units[ix].1];
             let mut c = Checker::with_coi(
                 &cn.netlist,
                 McConfig {
@@ -684,140 +665,36 @@ pub fn synthesize_leakage(
                 cn.coi.clone(),
             );
             c.declare_interface(&cn.targets);
-            if let Some(p) = &cfg.budget_pool {
-                c.set_budget_pool(Arc::clone(p));
-            }
-            if let Some(token) = &cfg.robust.cancel {
-                c.set_cancel_token(Arc::clone(token));
-            }
             c
-        });
-        // Injected panics fire after checkout so the guard's drop releases
-        // the next ticket (discarding the checker; the pairing's next unit
-        // deterministically rebuilds it).
-        if fault == Some(FaultKind::Panic) {
-            panic!("injected fault: panic in ift job {ix}");
-        }
-        match fault {
-            Some(FaultKind::ForceUnknown) => ctx.set_fault(UndeterminedReason::FaultInjected),
-            Some(FaultKind::DeadlineExpired) => ctx.set_fault(UndeterminedReason::Deadline),
-            _ => {}
-        }
-        let w = &work[wi];
-        let r = ift_kind_job(
-            w.p,
-            &w.decisions,
-            kind,
-            &harnesses[pi],
-            &cn.covers[wi],
-            &mut ctx,
-            prune.as_ref(),
-            cfg,
-        );
-        drop(ctx);
-        // Only clean verdicts are journaled (degraded jobs rerun on
-        // resume), so a resumed run converges to the uninterrupted result.
-        if fault.is_none() && r.1.degraded() == 0 {
-            if let (Some(j), Some(k)) = (cfg.robust.journal.as_deref(), unit_keys[ix].as_deref()) {
-                j.put(k, &encode_ift_record(&r.0, &r.1));
-            }
-        }
-        r
-    };
-    let mut supervised = mc::run_jobs_supervised(units.clone(), threads, |ix, (wi, pi, kind)| {
-        if let Some(rec) = &cached[ix] {
-            return rec.clone();
-        }
-        run_unit(ix, wi, pi, kind, tickets[ix], 0)
-    });
-    // Transient-failure recovery, mirroring the µPATH phase: rerun failed
-    // or degraded units sequentially in job order, each consuming its
-    // pairing's next checkout ticket, so the merged report stays
-    // worker-count independent.
-    if cfg.robust.retries > 0 {
-        // Continuation tickets start after the pairing's running units
-        // (replayed units never consumed a ticket).
-        let mut next_ticket: Vec<usize> = miss_count.clone();
-        for (ix, &(wi, pi, kind)) in units.iter().enumerate() {
-            for attempt in 1..=cfg.robust.retries {
-                let needs_retry = match &supervised[ix] {
-                    Ok((_, st)) => st.degraded() > 0,
-                    Err(_) => true,
-                };
-                if !needs_retry {
-                    break;
-                }
-                if cfg.robust.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                    break;
-                }
-                retried_jobs += 1;
-                let ticket = next_ticket[pi];
-                next_ticket[pi] += 1;
-                supervised[ix] = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_unit(ix, wi, pi, kind, ticket, attempt)
-                }))
-                .map_err(|payload| mc::JobFailure {
-                    job_id: ix,
-                    payload_msg: payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into()),
-                    backtrace_hint: format!("panicked again on retry attempt {attempt}"),
-                });
-            }
-        }
-    }
-    let results: Vec<(Vec<Tag>, CheckStats)> = supervised
-        .into_iter()
-        .map(|r| match r {
-            Ok(r) => {
-                if r.1.degraded() > 0 {
-                    degraded_jobs += 1;
-                }
-                r
-            }
-            Err(_) => {
-                degraded_jobs += 1;
-                let mut stats = CheckStats {
-                    properties: 1,
-                    ..Default::default()
-                };
-                stats.count_undetermined(UndeterminedReason::JobPanicked);
-                (Vec::new(), stats)
-            }
-        })
-        .collect();
+        },
+        |ix, checker| {
+            let (wi, pi, kind) = units[ix];
+            let w = &work[wi];
+            ift_kind_job(
+                w.p,
+                &w.decisions,
+                kind,
+                &harnesses[pi],
+                &cover_nets[pi].covers[wi],
+                checker,
+                prune.as_ref(),
+                cfg,
+            )
+        },
+    );
 
     // Phase 3: assemble signatures.
     let mut ift_stats = CheckStats::default();
     let mut signatures = Vec::new();
     let mut transmitters = BTreeSet::new();
     let mut transponders_set = BTreeSet::new();
-    // A dummy class table lookup: recompute names from one harness-free
-    // source — the decisions carry class PlIds; rebuild the class table the
-    // same way the harness does.
-    let class_table = {
-        let mut pls = uhb::PlTable::new();
-        for ufsm in &design.annotations.ufsms {
-            for st in ufsm.candidate_states(&design.netlist) {
-                let cname = st
-                    .name
-                    .trim_end_matches(|c: char| c.is_ascii_digit())
-                    .to_owned();
-                if pls.find(&cname).is_none() {
-                    pls.add(cname);
-                }
-            }
-        }
-        pls
-    };
+    let class_table = class_table(design);
     // Merge job results back per transponder, in job order — the merged
     // tag lists are identical for every worker count.
     let mut tags_per_work: Vec<Vec<Tag>> = work.iter().map(|_| Vec::new()).collect();
-    for (&(w_ix, _, _), (tags, st)) in units.iter().zip(results) {
-        ift_stats.absorb(&st);
-        tags_per_work[w_ix].extend(tags);
+    for (&(w_ix, _, _), unit) in units.iter().zip(ift.results) {
+        ift_stats.absorb(&unit.stats);
+        tags_per_work[w_ix].extend(unit.tags);
     }
     for (w, tags) in work.iter().zip(tags_per_work) {
         // Group tags per decision source.
@@ -871,10 +748,10 @@ pub fn synthesize_leakage(
         transmitters,
         mupath_stats,
         ift_stats,
-        degraded_jobs,
-        resumed_jobs,
-        cone_misses,
-        retried_jobs,
+        degraded_jobs: isa_synth.degraded_jobs + ift.degraded_jobs,
+        resumed_jobs: isa_synth.resumed_jobs + ift.resumed_jobs,
+        cone_misses: isa_synth.cone_misses + ift.cone_misses,
+        retried_jobs: isa_synth.retried_jobs + ift.retried_jobs,
     }
 }
 
@@ -898,87 +775,110 @@ fn ift_job_key(
     )
 }
 
-/// Serializes one IFT unit verdict for the journal (durations excluded:
-/// nondeterministic). Tags are `[decision_ix, opcode, operand, kind,
-/// primary]` rows with enum discriminants as the stable encoding.
-fn encode_ift_record(tags: &[Tag], stats: &CheckStats) -> String {
-    use jsonio::Json;
-    let tags: Vec<Json> = tags
-        .iter()
-        .map(|t| {
-            Json::Arr(vec![
-                Json::Int(t.decision_ix as u64),
-                Json::Int(t.tx.opcode as u64),
-                Json::Int(match t.tx.operand {
-                    Operand::Rs1 => 0,
-                    Operand::Rs2 => 1,
-                }),
-                Json::Int(match t.tx.kind {
-                    TxKind::Intrinsic => 0,
-                    TxKind::DynamicOlder => 1,
-                    TxKind::DynamicYounger => 2,
-                    TxKind::Static => 3,
-                }),
-                Json::Bool(t.primary),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        // v2: records live under cone-fingerprint keys. v1 records
-        // (whole-design keys) decode as cache misses.
-        ("v".into(), Json::Int(2)),
-        ("tags".into(), Json::Arr(tags)),
-        ("stats".into(), mupath::encode_check_stats(stats)),
-    ])
-    .render_compact()
+/// The verdict of one IFT unit job: its leaking tags plus the query
+/// stats.
+struct IftUnit {
+    tags: Vec<Tag>,
+    stats: CheckStats,
 }
 
-/// Parses a journaled [`encode_ift_record`]; `None` (a cache miss) on any
-/// mismatch.
-fn decode_ift_record(s: &str) -> Option<(Vec<Tag>, CheckStats)> {
-    let j = jsonio::Json::parse(s).ok()?;
-    if j.field("v")?.as_u64()? != 2 {
-        return None;
+impl JobRecord for IftUnit {
+    fn stats(&self) -> &CheckStats {
+        &self.stats
     }
-    let mut tags = Vec::new();
-    for t in j.field("tags")?.as_arr()? {
-        let t = t.as_arr()?;
-        if t.len() != 5 {
+
+    /// Serializes the unit verdict for the journal. Tags are
+    /// `[decision_ix, opcode, operand, kind, primary]` rows with enum
+    /// discriminants as the stable encoding.
+    fn encode(&self) -> String {
+        use jsonio::Json;
+        let tags: Vec<Json> = self
+            .tags
+            .iter()
+            .map(|t| {
+                Json::Arr(vec![
+                    Json::Int(t.decision_ix as u64),
+                    Json::Int(t.tx.opcode as u64),
+                    Json::Int(match t.tx.operand {
+                        Operand::Rs1 => 0,
+                        Operand::Rs2 => 1,
+                    }),
+                    Json::Int(match t.tx.kind {
+                        TxKind::Intrinsic => 0,
+                        TxKind::DynamicOlder => 1,
+                        TxKind::DynamicYounger => 2,
+                        TxKind::Static => 3,
+                    }),
+                    Json::Bool(t.primary),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            // v2: records live under cone-fingerprint keys. v1 records
+            // (whole-design keys) decode as cache misses.
+            ("v".into(), Json::Int(2)),
+            ("tags".into(), Json::Arr(tags)),
+            ("stats".into(), mupath::encode_check_stats(&self.stats)),
+        ])
+        .render_compact()
+    }
+
+    fn decode(s: &str) -> Option<Self> {
+        let j = jsonio::Json::parse(s).ok()?;
+        if j.field("v")?.as_u64()? != 2 {
             return None;
         }
-        let opcode_n = t[1].as_u64()?;
-        let opcode = Opcode::ALL
-            .iter()
-            .copied()
-            .find(|&o| o as u64 == opcode_n)?;
-        tags.push(Tag {
-            decision_ix: t[0].as_u64()? as usize,
-            tx: TypedTransmitter {
-                opcode,
-                operand: match t[2].as_u64()? {
-                    0 => Operand::Rs1,
-                    1 => Operand::Rs2,
-                    _ => return None,
+        let mut tags = Vec::new();
+        for t in j.field("tags")?.as_arr()? {
+            let t = t.as_arr()?;
+            if t.len() != 5 {
+                return None;
+            }
+            let opcode_n = t[1].as_u64()?;
+            let opcode = Opcode::ALL
+                .iter()
+                .copied()
+                .find(|&o| o as u64 == opcode_n)?;
+            tags.push(Tag {
+                decision_ix: t[0].as_u64()? as usize,
+                tx: TypedTransmitter {
+                    opcode,
+                    operand: match t[2].as_u64()? {
+                        0 => Operand::Rs1,
+                        1 => Operand::Rs2,
+                        _ => return None,
+                    },
+                    kind: match t[3].as_u64()? {
+                        0 => TxKind::Intrinsic,
+                        1 => TxKind::DynamicOlder,
+                        2 => TxKind::DynamicYounger,
+                        3 => TxKind::Static,
+                        _ => return None,
+                    },
                 },
-                kind: match t[3].as_u64()? {
-                    0 => TxKind::Intrinsic,
-                    1 => TxKind::DynamicOlder,
-                    2 => TxKind::DynamicYounger,
-                    3 => TxKind::Static,
-                    _ => return None,
-                },
-            },
-            primary: t[4].as_bool()?,
-        });
+                primary: t[4].as_bool()?,
+            });
+        }
+        Some(Self {
+            tags,
+            stats: mupath::decode_check_stats(j.field("stats")?)?,
+        })
     }
-    Some((tags, mupath::decode_check_stats(j.field("stats")?)?))
+
+    /// No tags.
+    fn stand_in(stats: CheckStats) -> Self {
+        Self {
+            tags: Vec::new(),
+            stats,
+        }
+    }
 }
 
 #[cfg(test)]
 mod codec_tests {
     use super::*;
 
-    fn sample() -> (Vec<Tag>, CheckStats) {
+    fn sample() -> IftUnit {
         let tags = vec![
             Tag {
                 decision_ix: 0,
@@ -1007,26 +907,31 @@ mod codec_tests {
             coi_bits_after: 17,
             ..Default::default()
         };
-        (tags, stats)
+        IftUnit { tags, stats }
     }
 
     /// The IFT journal codec is a golden fixed point (encode ∘ decode ∘
     /// encode byte-identical) so a resumed leakage run re-journals
-    /// records without churning the journal file.
+    /// records without churning the journal file. Records carry verdicts
+    /// only: the COI telemetry of the sample does not survive.
     #[test]
     fn ift_record_round_trip_is_byte_identical() {
-        let (tags, stats) = sample();
-        let once = encode_ift_record(&tags, &stats);
-        let (dtags, dstats) = decode_ift_record(&once).expect("own encoding decodes");
-        assert_eq!(encode_ift_record(&dtags, &dstats), once);
-        assert_eq!(dtags, tags);
-        assert_eq!(dstats.properties, stats.properties);
-        assert_eq!(dstats.coi_bits_after, stats.coi_bits_after);
+        let unit = sample();
+        let once = unit.encode();
+        let d = IftUnit::decode(&once).expect("own encoding decodes");
+        assert_eq!(d.encode(), once);
+        assert_eq!(d.tags, unit.tags);
+        assert_eq!(d.stats.properties, unit.stats.properties);
+        assert_eq!(
+            (d.stats.coi_bits_before, d.stats.coi_bits_after),
+            (0, 0),
+            "COI telemetry is not a verdict and stays out of the record"
+        );
         // The empty record is also a fixed point (units with no tags).
-        let empty = encode_ift_record(&[], &CheckStats::default());
-        let (et, es) = decode_ift_record(&empty).unwrap();
-        assert!(et.is_empty());
-        assert_eq!(encode_ift_record(&et, &es), empty);
+        let empty = IftUnit::stand_in(CheckStats::default()).encode();
+        let e = IftUnit::decode(&empty).unwrap();
+        assert!(e.tags.is_empty());
+        assert_eq!(e.encode(), empty);
     }
 
     /// A torn journal tail must read as a cache miss, never as a wrong
@@ -1034,23 +939,22 @@ mod codec_tests {
     /// rejected rather than coerced.
     #[test]
     fn ift_record_corrupt_tail_is_rejected() {
-        let (tags, stats) = sample();
-        let full = encode_ift_record(&tags, &stats);
+        let full = sample().encode();
         for cut in 1..=40.min(full.len() - 1) {
             assert!(
-                decode_ift_record(&full[..full.len() - cut]).is_none(),
+                IftUnit::decode(&full[..full.len() - cut]).is_none(),
                 "accepted a record torn {cut} bytes short"
             );
         }
         let mut trailing = full.clone();
         trailing.push_str("{}");
-        assert!(decode_ift_record(&trailing).is_none());
-        assert!(decode_ift_record(&full.replacen("\"v\":2", "\"v\":7", 1)).is_none());
+        assert!(IftUnit::decode(&trailing).is_none());
+        assert!(IftUnit::decode(&full.replacen("\"v\":2", "\"v\":7", 1)).is_none());
         // The pre-cone-cache v1 schema (whole-design keys) is a miss too.
-        assert!(decode_ift_record(&full.replacen("\"v\":2", "\"v\":1", 1)).is_none());
+        assert!(IftUnit::decode(&full.replacen("\"v\":2", "\"v\":1", 1)).is_none());
         // Operand discriminant 2 does not exist.
         let bad = full.replacen(",1,2,", ",2,2,", 1);
         assert_ne!(bad, full);
-        assert!(decode_ift_record(&bad).is_none());
+        assert!(IftUnit::decode(&bad).is_none());
     }
 }

@@ -94,6 +94,29 @@ impl Design {
     }
 }
 
+/// The names of the built-in designs, in the order tools list them.
+pub const DESIGN_NAMES: [&str; 6] = [
+    "minicva6",
+    "minicva6-mul",
+    "minicva6-op",
+    "hardened",
+    "tinycore",
+    "minicache",
+];
+
+/// Builds the built-in design called `name` (one of [`DESIGN_NAMES`]).
+pub fn design_by_name(name: &str) -> Option<Design> {
+    Some(match name {
+        "minicva6" => build_core(&CoreConfig::default()),
+        "minicva6-mul" => build_core(&CoreConfig::cva6_mul()),
+        "minicva6-op" => build_core(&CoreConfig::cva6_op()),
+        "hardened" => build_core(&CoreConfig::hardened()),
+        "tinycore" => build_tiny(),
+        "minicache" => cache::build_cache(),
+        _ => return None,
+    })
+}
+
 /// Runs the full lint suite on a design, rooted at its annotation bundle
 /// and harness hook signals (so logic feeding only the verification hooks
 /// is not reported dead), with the fetch/issue strobes checked for

@@ -48,7 +48,21 @@ if ! grep -q '^{"k":"mupath:' "$JOURNAL"; then
 fi
 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
   paths tinycore add --resume "$JOURNAL" >/dev/null
-echo "fault-smoke OK (degrade -> journal -> resume clean)"
+# The same fault is transient: with --retries 2 the faulted job reruns
+# clean on its first retry, so the run must exit 0 and report exactly one
+# retry attempt under the neutral `recovered:` heading.
+set +e
+RETRY_OUT=$(SYNTHLC_FAULT_SEED=2 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+  paths tinycore add --fault-rate 0.5 --retries 2)
+RETRY_EXIT=$?
+set -e
+if [ "$RETRY_EXIT" != 0 ] || ! printf '%s\n' "$RETRY_OUT" \
+  | grep -qxF 'recovered: 0 resumed job(s), 1 retry attempt(s)'; then
+  echo "fault-smoke: --retries 2 must recover the faulted job (exit $RETRY_EXIT):" >&2
+  printf '%s\n' "$RETRY_OUT" >&2
+  exit 1
+fi
+echo "fault-smoke OK (degrade -> journal -> resume clean; degrade -> retry clean)"
 
 echo "== incremental-smoke (cone-granular re-verification after an edit) =="
 # The edit-locality contract of the cone-granular verdict cache

@@ -59,20 +59,8 @@ use mupath::{
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
-use synthlc::{contracts, synthesize_leakage, Journal, LeakConfig, TxKind};
-use uarch::{build_core, build_tiny, CoreConfig, Design};
-
-fn design_by_name(name: &str) -> Option<Design> {
-    Some(match name {
-        "minicva6" => build_core(&CoreConfig::default()),
-        "minicva6-mul" => build_core(&CoreConfig::cva6_mul()),
-        "minicva6-op" => build_core(&CoreConfig::cva6_op()),
-        "hardened" => build_core(&CoreConfig::hardened()),
-        "tinycore" => build_tiny(),
-        "minicache" => uarch::cache::build_cache(),
-        _ => return None,
-    })
-}
+use synthlc::{contracts, synthesize_leakage, Journal, LeakConfig};
+use uarch::{design_by_name, Design, DESIGN_NAMES};
 
 /// Resolves a `<design>` argument: a built-in name, or a path to a `.nl`
 /// netlist file ("bring your own design"). File-based designs go through
@@ -128,10 +116,9 @@ fn opcode_by_name(design: &Design, name: &str) -> Option<isa::Opcode> {
 
 #[derive(Debug)]
 struct Opts {
-    slots: Vec<usize>,
-    bound: usize,
-    context: ContextMode,
-    budget: u64,
+    /// The µPATH-phase configuration (`--slots`, `--bound`, `--context`,
+    /// `--budget`); the leakage phase reuses its bound and budget.
+    synth: SynthConfig,
     jobs: usize,
     lint: bool,
     deny_warnings: bool,
@@ -145,14 +132,7 @@ struct Opts {
 
 fn parse_opts(args: &[String], design: &Design) -> Result<Opts, String> {
     let mut o = Opts {
-        slots: vec![0, 1],
-        bound: design.max_latency.min(16) + 8,
-        context: if design.type_values.is_empty() {
-            ContextMode::NoControlFlow
-        } else {
-            ContextMode::Any
-        },
-        budget: 2_000_000,
+        synth: SynthConfig::interactive(design),
         jobs: 0,
         lint: false,
         deny_warnings: false,
@@ -172,20 +152,22 @@ fn parse_opts(args: &[String], design: &Design) -> Result<Opts, String> {
         };
         match a.as_str() {
             "--slots" => {
-                o.slots = val("--slots")?
+                o.synth.slots = val("--slots")?
                     .split(',')
                     .map(|s| s.parse().map_err(|_| format!("bad slot `{s}`")))
                     .collect::<Result<_, _>>()?;
             }
             "--bound" => {
-                o.bound = val("--bound")?
+                o.synth.bound = val("--bound")?
                     .parse()
                     .map_err(|_| "bad --bound".to_owned())?;
             }
             "--budget" => {
-                o.budget = val("--budget")?
-                    .parse()
-                    .map_err(|_| "bad --budget".to_owned())?;
+                o.synth.conflict_budget = Some(
+                    val("--budget")?
+                        .parse()
+                        .map_err(|_| "bad --budget".to_owned())?,
+                );
             }
             "--jobs" => {
                 o.jobs = val("--jobs")?
@@ -209,7 +191,7 @@ fn parse_opts(args: &[String], design: &Design) -> Result<Opts, String> {
             }
             "--fail-on-undetermined" => o.fail_on_undetermined = true,
             "--context" => {
-                o.context = match val("--context")?.as_str() {
+                o.synth.context = match val("--context")?.as_str() {
                     "any" => ContextMode::Any,
                     "nocf" => ContextMode::NoControlFlow,
                     "solo" => ContextMode::Solo,
@@ -220,16 +202,6 @@ fn parse_opts(args: &[String], design: &Design) -> Result<Opts, String> {
         }
     }
     Ok(o)
-}
-
-fn synth_cfg(o: &Opts) -> SynthConfig {
-    SynthConfig {
-        slots: o.slots.clone(),
-        context: o.context,
-        bound: o.bound,
-        conflict_budget: Some(o.budget),
-        max_shapes: 64,
-    }
 }
 
 /// Assembles the robustness knobs from the CLI options: wall-clock
@@ -425,7 +397,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_pls(design: &Design, o: &Opts) {
-    let report = mupath::duv_pl_reachability(design, &synth_cfg(o));
+    let report = mupath::duv_pl_reachability(design, &o.synth);
     println!("{} performing locations:", report.pls.len());
     for pl in report.pls.ids() {
         println!(
@@ -448,7 +420,7 @@ fn cmd_paths(design: &Design, op: isa::Opcode, o: &Opts) -> Result<ExitCode, Str
         budget_pool: None,
         robust: robust_opts(o)?,
     };
-    let isa_synth = synthesize_isa_with(design, &[op], &synth_cfg(o), &opts);
+    let isa_synth = synthesize_isa_with(design, &[op], &o.synth, &opts);
     let r = &isa_synth.instrs[0];
     println!(
         "{op}: {} µPATH(s), complete = {}",
@@ -459,8 +431,8 @@ fn cmd_paths(design: &Design, op: isa::Opcode, o: &Opts) -> Result<ExitCode, Str
         design,
         &HarnessConfig {
             opcode: op,
-            fetch_slot: o.slots[0],
-            context: o.context,
+            fetch_slot: o.synth.slots[0],
+            context: o.synth.context,
         },
     );
     for (i, p) in r.concrete.iter().enumerate() {
@@ -492,39 +464,9 @@ fn cmd_paths(design: &Design, op: isa::Opcode, o: &Opts) -> Result<ExitCode, Str
 
 fn cmd_leak(design: &Design, op: isa::Opcode, o: &Opts) -> Result<ExitCode, String> {
     let cfg = LeakConfig {
-        mupath: synth_cfg(o),
-        transmitters: design
-            .isa
-            .iter()
-            .copied()
-            .filter(|t| {
-                matches!(
-                    t,
-                    isa::Opcode::Add
-                        | isa::Opcode::Mul
-                        | isa::Opcode::Div
-                        | isa::Opcode::Lw
-                        | isa::Opcode::Sw
-                        | isa::Opcode::Beq
-                        | isa::Opcode::Jalr
-                )
-            })
-            .collect(),
-        kinds: vec![
-            TxKind::Intrinsic,
-            TxKind::DynamicOlder,
-            TxKind::DynamicYounger,
-            TxKind::Static,
-        ],
-        bound: o.bound,
-        conflict_budget: Some(o.budget),
         threads: o.jobs,
-        slot_base: 0,
-        max_sources: Some(3),
-        coi: true,
-        static_prune: true,
-        budget_pool: None,
         robust: robust_opts(o)?,
+        ..LeakConfig::interactive(design, o.synth.clone())
     };
     let report = synthesize_leakage(design, &[op], &cfg);
     let mut stats = report.mupath_stats;
@@ -974,14 +916,7 @@ fn run() -> Result<ExitCode, String> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     match cmd {
         "designs" => {
-            for d in [
-                "minicva6",
-                "minicva6-mul",
-                "minicva6-op",
-                "hardened",
-                "tinycore",
-                "minicache",
-            ] {
+            for d in DESIGN_NAMES {
                 let design = design_by_name(d).expect("listed design builds");
                 println!(
                     "{d:<14} {:>5} nodes {:>4} flop bits  {} µFSMs",
@@ -995,16 +930,8 @@ fn run() -> Result<ExitCode, String> {
         "lint" => {
             let dname = args.get(1).map(String::as_str).unwrap_or("all");
             let deny = args.iter().any(|a| a == "--deny-warnings");
-            let all = [
-                "minicva6",
-                "minicva6-mul",
-                "minicva6-op",
-                "hardened",
-                "tinycore",
-                "minicache",
-            ];
             if dname == "all" {
-                cmd_lint(&all, deny)
+                cmd_lint(&DESIGN_NAMES, deny)
             } else {
                 cmd_lint(&[dname], deny)
             }
